@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .scales import RATING_MAX
-from .worksheet import ClassLabel, RatingTriple, Worksheet
+from .worksheet import ClassLabel, RatingTriple, Worksheet, repeated_keys
 
 RPN_MIN = 1
 RPN_MAX = 1000
@@ -182,12 +182,9 @@ def collisions(ws: Worksheet) -> list[CollisionGroup]:
 
     Groups come back sorted by RPN descending, members in worksheet order.
     """
-    by_value: dict[int, list[int]] = {}
-    for index, entry in enumerate(ws.entries):
-        by_value.setdefault(rpn(entry.triple), []).append(index)
+    keyed = ((rpn(entry.triple), index) for index, entry in enumerate(ws.entries))
     return [CollisionGroup(value, tuple(members))
-            for value, members in sorted(by_value.items(), reverse=True)
-            if len(members) >= 2]
+            for value, members in sorted(repeated_keys(keyed), reverse=True)]
 
 
 def discrepancies(ws: Worksheet,

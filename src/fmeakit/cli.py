@@ -24,7 +24,6 @@ from .analysis import (
 from .dataset import bundled_csv_bytes, microgrid_worksheet
 from .ingest import ParseFailure, emit_json, parse_csv, parse_json
 from .report import (
-    RenderOptions,
     analysis_payload,
     render_analysis_csv,
     render_analysis_markdown,

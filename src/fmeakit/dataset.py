@@ -2,296 +2,40 @@
 
 Fifteen cyber-physical components of a microgrid communication
 infrastructure, each with one high-risk failure mode (a class of
-cyberattack), its S/O/D ratings, and a declared criticality label.
+cyberattack), its S/O/D ratings, and a declared criticality label. The
+worksheet ships as ``data/microgrid_cyber_fmea.csv``, the one copy of it:
+the CLI emits that file as is, and ``microgrid_worksheet()`` parses it.
 
-Twelve components carry only ratings and classification in the source
-dataset; their narrative fields here are terse paraphrases of each
-component's role in the microgrid (marked in comments below). The three
-top-risk components (EMS, HMI, smart meter) carry their full worksheet
-narrative verbatim. Declared classifications are carried exactly as
-recorded, including their internal inconsistencies; they are never
-"corrected" to match computed bands.
-
-The same worksheet ships as ``data/microgrid_cyber_fmea.csv`` so the CLI
-can consume it as an ordinary input file.
+Provenance. The three top-risk components (Energy Management System
+(EMS), Human-machine interface (HMI), Smart meter) carry their full
+worksheet narrative verbatim. The other twelve (Database, Server,
+Intelligent electronic device (IED), Generator controller, Automatic
+transfer switch (ATS), Renewable energy controller, Remote terminal unit
+(RTU), Phasor measurement unit (PMU), Disconnect switch, PHEV, PHEV
+supply equipment, Relay) carry only ratings and classification in the
+source dataset; their narrative fields are terse paraphrases of each
+component's role in the microgrid, not a primary-source record. Declared
+classifications are carried exactly as recorded, including their
+internal inconsistencies; they are never "corrected" to match computed
+bands.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from importlib import resources
 
-from .worksheet import ClassLabel, FmeaEntry, RatingTriple, Worksheet
+from .ingest import parse_csv
+from .worksheet import Worksheet
 
 WORKSHEET_TITLE = "Microgrid cyber-physical component FMEA"
 
 CSV_RESOURCE = "microgrid_cyber_fmea.csv"
 
-# --- Summary-row components: ratings/classification exact, narrative text
-# --- is a paraphrased role summary (not a primary-source record).
-_SUMMARY_ENTRIES = (
-    FmeaEntry(
-        component="Database",
-        failure_mode="Unauthorized access and data tampering",
-        triple=RatingTriple(4, 6, 4),
-        effect="Corrupted or stolen microgrid operational records",
-        end_effect="Operators act on unreliable historical data",
-        cause="Weak authentication and unpatched database software",
-        prevention_controls="Hardened account management and regular security patches",
-        detection_controls="Database audit logging",
-        declared_classification=ClassLabel.MARGINAL,
-    ),
-    FmeaEntry(
-        component="Server",
-        failure_mode="Denial of service on the data server",
-        triple=RatingTriple(7, 6, 4),
-        effect="Store of microgrid operational data becomes unavailable",
-        end_effect="Loss of monitoring history and delayed operator decisions",
-        cause="Network flooding of exposed services",
-        prevention_controls="Firewall rules and traffic filtering",
-        detection_controls="Server health and traffic monitoring",
-        declared_classification=ClassLabel.MARGINAL,
-    ),
-    FmeaEntry(
-        component="Intelligent electronic device (IED)",
-        failure_mode="False data injection",
-        triple=RatingTriple(7, 5, 4),
-        effect="Corrupted relay and controller data delivered to the EMS",
-        end_effect="Incorrect protection decisions",
-        cause="Compromised communication channel",
-        prevention_controls="Message authentication and encryption",
-        detection_controls="Cross-checking against redundant measurements",
-        declared_classification=ClassLabel.CRITICAL,
-    ),
-    FmeaEntry(
-        component="Generator controller",
-        failure_mode="Malicious control command injection",
-        triple=RatingTriple(6, 5, 4),
-        effect="Generator setpoints manipulated",
-        end_effect="Generation loss or equipment damage",
-        cause="Unauthorized access to the control network",
-        prevention_controls="Access control policies and network segmentation",
-        detection_controls="Intrusion detection systems",
-        declared_classification=ClassLabel.CRITICAL,
-    ),
-    FmeaEntry(
-        component="Automatic transfer switch (ATS)",
-        failure_mode="Spoofed transfer command",
-        triple=RatingTriple(5, 4, 4),
-        effect="Unintended transfer between supply sources",
-        end_effect="Supply interruption during transfer",
-        cause="Unauthenticated control interface",
-        prevention_controls="Command source authentication",
-        detection_controls="Transfer event auditing",
-        declared_classification=ClassLabel.MARGINAL,
-    ),
-    FmeaEntry(
-        component="Renewable energy controller",
-        failure_mode="Malicious control command injection",
-        triple=RatingTriple(6, 5, 4),
-        effect="Renewable generation setpoints manipulated",
-        end_effect="Power fluctuations and curtailment",
-        cause="Unauthorized access to the control network",
-        prevention_controls="Access control policies and network segmentation",
-        detection_controls="Intrusion detection systems",
-        declared_classification=ClassLabel.MARGINAL,
-    ),
-    FmeaEntry(
-        component="Remote terminal unit (RTU)",
-        failure_mode="Man-in-the-middle attack",
-        triple=RatingTriple(5, 7, 6),
-        effect="Field device data intercepted or altered en route to the EMS",
-        end_effect="EMS operates on falsified field data",
-        cause="Plain-text protocols on the field network",
-        prevention_controls="Encrypted links and virtual private networks",
-        detection_controls="Comparing with historical SCADA measurements",
-        declared_classification=ClassLabel.CRITICAL,
-    ),
-    FmeaEntry(
-        component="Phasor measurement unit (PMU)",
-        failure_mode="Phasor data spoofing",
-        triple=RatingTriple(5, 4, 6),
-        effect="Falsified synchrophasor stream sent to the EMS",
-        end_effect="Wrong wide-area state estimates",
-        cause="Time-source spoofing and weak network security",
-        prevention_controls="Time-source validation and encryption",
-        detection_controls="Anomaly-based intrusion detection",
-        declared_classification=ClassLabel.MARGINAL,
-    ),
-    FmeaEntry(
-        component="Disconnect switch",
-        failure_mode="Unauthorized switching command",
-        triple=RatingTriple(7, 4, 4),
-        effect="Switch opened or closed without operator intent",
-        end_effect="Unplanned outage of the protected section",
-        cause="Compromised remote control path",
-        prevention_controls="Interlocks and command authentication",
-        detection_controls="Switch position monitoring",
-        declared_classification=ClassLabel.MARGINAL,
-    ),
-    FmeaEntry(
-        component="PHEV",
-        failure_mode="Malware via compromised software update",
-        triple=RatingTriple(9, 5, 4),
-        effect="Vehicle charging interface misbehaves",
-        end_effect="Uncoordinated charging load on the microgrid",
-        cause="Unsigned firmware and software updates",
-        prevention_controls="Signed updates and secure boot",
-        detection_controls="Charging behaviour monitoring",
-        declared_classification=ClassLabel.CATASTROPHIC,
-    ),
-    FmeaEntry(
-        component="PHEV supply equipment",
-        failure_mode="Falsified charging session data",
-        triple=RatingTriple(8, 5, 4),
-        effect="Wrong charging/discharging information reported to the EMS",
-        end_effect="Billing errors and mis-optimized charging schedules",
-        cause="Tampered charging station firmware",
-        prevention_controls="Firmware integrity checks",
-        detection_controls="Plausibility checks on session data",
-        declared_classification=ClassLabel.CRITICAL,
-    ),
-    FmeaEntry(
-        component="Relay",
-        failure_mode="False tripping attack",
-        triple=RatingTriple(8, 6, 4),
-        effect="Protection relay trips without a fault",
-        end_effect="Loss of supply to healthy feeders",
-        cause="Injected trip commands on the protection network",
-        prevention_controls="Protection network segmentation",
-        detection_controls="Relay event log auditing",
-        declared_classification=ClassLabel.MARGINAL,
-    ),
-)
-
-# --- Top-risk components: full worksheet narrative carried verbatim.
-_FULL_ENTRIES = (
-    FmeaEntry(
-        component="Energy Management System (EMS)",
-        failure_mode=(
-            "While EMS is not a component, failure of one or more critical "
-            "components listed below can lead to the failure of the EMS. Along "
-            "with the cyberattacks listed below, some of the other factors that "
-            "can lead to the EMS failure are listed here: insecure inter-network "
-            "communication channel, default accounts on the components, default "
-            "and weak passwords, weak authentication, weak coding practices, "
-            "man-in-the-middle attack, weak/ misconfigured firewalls, exploitable "
-            "ports, social engineering, and data buffer overflow because of the "
-            "unchecked data stream"
-        ),
-        triple=RatingTriple(10, 7, 8),
-        effect=(
-            "MG islanding without the grid operators' consent, false tripping of "
-            "relays/ circuit breakers, overloading on the generation and "
-            "distribution system, voltage/frequency violations, failed system "
-            "protection, and unstable system"
-        ),
-        end_effect=(
-            "Hefty fines imposed by the government because of voltage/ frequency "
-            "violations, loss of power to critical loads, grid instability, and "
-            "cascading failures leading to MG failure"
-        ),
-        cause=(
-            "Unauthorized access to key components, lack of penetration testing, "
-            "weak firewall/ antivirus, weak encryption, and lack of multifactor "
-            "authentication"
-        ),
-        prevention_controls=(
-            "Strict vulnerability and incident handling protocols, secured system "
-            "architecture, removing unnecessary software, blocking unused ports, "
-            "hardened account management, and access control policies, appropriate "
-            "data backup and restore measures, intrusion detection systems, "
-            "regular security patches, and updates, strong encryption techniques, "
-            "strong passwords, using proxy servers, and strict file system access "
-            "policies"
-        ),
-        detection_controls=(
-            "Smart inverters, smart meters, comparing with historical SCADA "
-            "measurements, intrusion detection software, real-time intrusion "
-            "detection based on advanced machine learning algorithms, and key "
-            "data sources that could predict potential attacks"
-        ),
-        declared_classification=ClassLabel.CATASTROPHIC,
-    ),
-    FmeaEntry(
-        component="Human-machine interface (HMI)",
-        failure_mode=(
-            "Hackers tend to target the HMI as the MG operators use this to "
-            "interact with the SCADA system. Typical attacks on the HMI include "
-            "malware, Stuxnet, insider threat, sniffer attack, man-in-the-middle "
-            "attack, code injection, memory corruption, insecure default "
-            "settings, plain text SCADA protocol, key stroking software, and "
-            "network flooding"
-        ),
-        triple=RatingTriple(8, 6, 7),
-        effect=(
-            "Unauthorized access to critical components by which hacker can "
-            "change the settings (opening and closing of circuit breakers), "
-            "permanent damage to the components, and loss of critical information"
-        ),
-        end_effect=(
-            "Violation of regulations imposed by governments can lead to hefty "
-            "fines, reputational damage to MG owners and systems offline"
-        ),
-        cause=(
-            "Weak passwords, lack of relevant knowledge, default system settings, "
-            "external device connected to network, suspicious emails, using the "
-            "infected external storage device, and malware"
-        ),
-        prevention_controls=(
-            "Segregation and increased perimeter security, using honeypots to "
-            "find vulnerabilities in the system, advanced firewall installation, "
-            "intrusion detection systems, demilitarized zone to increase security "
-            "at MG site, using virtual private networks, and encryption"
-        ),
-        detection_controls=(
-            "Periodical risk assessment, intrusion detection software "
-            "installation, MAC address locking, risk auditing, using machine "
-            "learning algorithms, strong passwords, and relevant personnel "
-            "training"
-        ),
-        declared_classification=ClassLabel.CRITICAL,
-    ),
-    FmeaEntry(
-        component="Smart meter",
-        failure_mode=(
-            "Power denial attack, power theft attack, grid disruption attack, "
-            "internet protocol misconfiguration, memory corruption, promotion "
-            "request overflow, node log overflow, identity theft, overflow in "
-            "the local switch identifier, intercepting traffic, central "
-            "processing unit overload, traffic reinjection, physical layer "
-            "jamming, access control jamming, physical attack"
-        ),
-        triple=RatingTriple(7, 5, 6),
-        effect=(
-            "Power outage to customers and critical loads, power theft from the "
-            "utility, instability in the grid, widespread power loss, data loss, "
-            "and financial loss to MG and utility grid operators"
-        ),
-        end_effect="Power outage and monetary loss",
-        cause=(
-            "Jamming the communication channel, control media access jamming, "
-            "vulnerabilities in the firewall, complex network topology, older "
-            "switches, outdated firmware, and software"
-        ),
-        prevention_controls=(
-            "Electromagnetic field radiation shield, Strong firewall, command "
-            "source authentication, encryption, load drop detection, and "
-            "implementing head-end access controls"
-        ),
-        detection_controls=(
-            "Implementing signature-based and anomaly-based intrusion detection "
-            "software"
-        ),
-        declared_classification=ClassLabel.MARGINAL,
-    ),
-)
-
-_WORKSHEET = Worksheet(WORKSHEET_TITLE, _SUMMARY_ENTRIES + _FULL_ENTRIES)
-
 
 def microgrid_worksheet() -> Worksheet:
     """Return the bundled 15-entry microgrid cyber-component worksheet."""
-    return _WORKSHEET
+    return replace(parse_csv(bundled_csv_bytes()), title=WORKSHEET_TITLE)
 
 
 def bundled_csv_bytes() -> bytes:

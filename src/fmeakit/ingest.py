@@ -17,28 +17,21 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from decimal import Decimal
 
-from .scales import RATING_MAX, RATING_MIN
-from .worksheet import ClassLabel, FmeaEntry, RatingTriple, Worksheet
-
-CSV_COLUMNS = (
-    "component",
-    "failure_mode",
-    "severity",
-    "occurrence",
-    "detection",
-    "effect",
-    "end_effect",
-    "cause",
-    "prevention_controls",
-    "detection_controls",
-    "declared_classification",
+from .scales import is_rating, rating_from_text, rating_message
+from .worksheet import (
+    RATING_FIELDS,
+    ClassLabel,
+    FmeaEntry,
+    RatingTriple,
+    Worksheet,
+    repeated_keys,
 )
 
-_RATING_COLUMNS = ("severity", "occurrence", "detection")
-_NARRATIVE_COLUMNS = (
-    "effect", "end_effect", "cause", "prevention_controls", "detection_controls",
-)
+CSV_COLUMNS = ("component", "failure_mode", *RATING_FIELDS, "effect", "end_effect",
+               "cause", "prevention_controls", "detection_controls",
+               "declared_classification")
 
 
 @dataclass(frozen=True)
@@ -74,49 +67,38 @@ class ParseFailure(Exception):
 
 
 def _parse_rating(raw: str, column: str, row: int, errors: list[ParseError]) -> int:
-    try:
-        value = int(raw)
-    except ValueError:
-        errors.append(ParseError("csv", f"must be an integer in [1, 10], got {raw!r}",
-                                 row=row, column=column))
-        return 0
-    if not RATING_MIN <= value <= RATING_MAX:
-        errors.append(ParseError("csv", f"must be in [1, 10], got {value}",
-                                 row=row, column=column))
+    value = rating_from_text(raw)
+    if value is None:
+        errors.append(ParseError("csv", rating_message(raw), row=row, column=column))
         return 0
     return value
 
 
-def _parse_classification(raw: str, row: int, errors: list[ParseError]) -> ClassLabel | None:
+def _parse_classification(raw: str, errors: list[ParseError], source_kind: str,
+                          row: int | None, column: str) -> ClassLabel | None:
+    # Blank text declares no class; row and column locate an unknown label.
     if not raw.strip():
         return None
     try:
         return ClassLabel.from_text(raw)
-    except ValueError:
-        known = ", ".join(label.value for label in ClassLabel)
-        errors.append(ParseError(
-            "csv", f"unknown classification {raw!r} (expected one of: {known})",
-            row=row, column="declared_classification"))
+    except ValueError as exc:
+        errors.append(ParseError(source_kind, str(exc), row, column))
         return None
 
 
-def _check_duplicates(keyed_rows: list[tuple[tuple[str, str], int]],
+def _check_duplicates(keyed: list[tuple[tuple[str, str], int]],
                       source_kind: str, errors: list[ParseError]) -> None:
     # One error per duplicated (component, failure_mode) key, listing all
     # row/entry positions where it appears.
-    seen: dict[tuple[str, str], list[int]] = {}
-    for key, position in keyed_rows:
-        seen.setdefault(key, []).append(position)
     unit = "rows" if source_kind == "csv" else "entries"
-    for (component, failure_mode), positions in seen.items():
-        if len(positions) > 1:
-            where = ", ".join(str(p) for p in positions)
-            errors.append(ParseError(
-                source_kind,
-                f"duplicate (component, failure_mode) pair "
-                f"({component!r}, {failure_mode!r}) at {unit} {where}",
-                row=positions[0] if source_kind == "csv" else None,
-                column="component, failure_mode"))
+    for (component, failure_mode), positions in repeated_keys(keyed):
+        where = ", ".join(str(p) for p in positions)
+        errors.append(ParseError(
+            source_kind,
+            f"duplicate (component, failure_mode) pair "
+            f"({component!r}, {failure_mode!r}) at {unit} {where}",
+            row=positions[0] if source_kind == "csv" else None,
+            column="component, failure_mode"))
 
 
 def parse_csv(data: bytes) -> Worksheet:
@@ -171,9 +153,10 @@ def parse_csv(data: bytes) -> Worksheet:
             errors.append(ParseError("csv", "must not be empty",
                                      row=record_index, column="component"))
         ratings = {name: _parse_rating(get(name), name, record_index, errors)
-                   for name in _RATING_COLUMNS}
-        declared = _parse_classification(get("declared_classification"),
-                                         record_index, errors)
+                   for name in RATING_FIELDS}
+        declared = _parse_classification(get("declared_classification"), errors,
+                                         "csv", record_index,
+                                         "declared_classification")
         keyed_rows.append(((component, get("failure_mode")), record_index))
         entries.append(FmeaEntry(
             component=component,
@@ -217,39 +200,29 @@ def _json_entry(obj: object, index: int, errors: list[ParseError]) -> FmeaEntry 
         return value
 
     component = text_field("component", required=True)
-    if "component" in obj and isinstance(obj["component"], str) \
-            and not component.strip():
+    if isinstance(obj.get("component"), str) and not component.strip():
         errors.append(ParseError("json", "must not be empty",
                                  column=f"{path}.component"))
     failure_mode = text_field("failure_mode", required=True)
 
     ratings = {}
-    for name in _RATING_COLUMNS:
+    for name in RATING_FIELDS:
         value = obj.get(name, None)
-        if isinstance(value, int) and not isinstance(value, bool) \
-                and RATING_MIN <= value <= RATING_MAX:
+        if is_rating(value):
             ratings[name] = value
         else:
-            errors.append(ParseError(
-                "json", f"must be an integer in [1, 10], got {value!r}",
-                column=f"{path}.{name}"))
+            errors.append(ParseError("json", rating_message(value),
+                                     column=f"{path}.{name}"))
             ratings[name] = 0
 
     declared = None
     raw_class = obj.get("declared_classification", None)
-    if isinstance(raw_class, str) and raw_class.strip():
-        try:
-            declared = ClassLabel.from_text(raw_class)
-        except ValueError:
-            known = ", ".join(label.value for label in ClassLabel)
-            errors.append(ParseError(
-                "json",
-                f"unknown classification {raw_class!r} (expected one of: {known})",
-                column=f"{path}.declared_classification"))
-    elif raw_class is not None and not isinstance(raw_class, str):
+    where = f"{path}.declared_classification"
+    if isinstance(raw_class, str):
+        declared = _parse_classification(raw_class, errors, "json", None, where)
+    elif raw_class is not None:
         errors.append(ParseError(
-            "json", f"must be a string or null, got {raw_class!r}",
-            column=f"{path}.declared_classification"))
+            "json", f"must be a string or null, got {raw_class!r}", column=where))
 
     return FmeaEntry(
         component=component,
@@ -262,6 +235,13 @@ def _json_entry(obj: object, index: int, errors: list[ParseError]) -> FmeaEntry 
         detection_controls=text_field("detection_controls"),
         declared_classification=declared,
     )
+
+
+def _json_int(text: str) -> int | Decimal:
+    try:
+        return int(text)
+    except ValueError:  # past int()'s digit limit; no field takes a Decimal
+        return Decimal(text)
 
 
 def parse_json(data: bytes) -> Worksheet:
@@ -280,6 +260,13 @@ def parse_json(data: bytes) -> Worksheet:
         raise ParseFailure([ParseError(
             "json", f"malformed JSON: {exc.msg}", row=exc.lineno,
             column=None)]) from exc
+    except RecursionError as exc:
+        raise ParseFailure([ParseError(
+            "json", "malformed JSON: nested too deeply to parse", row=1)]) from exc
+    except ValueError:
+        # An integer literal past int()'s digit limit: parse again, keeping
+        # such literals as values that every field rejects with a location.
+        document = json.loads(data.decode("utf-8"), parse_int=_json_int)
 
     errors: list[ParseError] = []
     if not isinstance(document, dict):

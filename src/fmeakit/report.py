@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
+from operator import itemgetter
 
 from .analysis import (
     ClassBands,
@@ -23,27 +24,26 @@ from .analysis import (
 )
 from .scales import DETECTION_SCALE, OCCURRENCE_SCALE, SEVERITY_SCALE
 from .simulate import SimResult
-from .worksheet import ClassLabel, Worksheet
+from .worksheet import RATING_FIELDS, ClassLabel, Worksheet
 
-FORMATS = ("markdown", "csv", "text", "svg")
-
-
-@dataclass(frozen=True)
-class RenderOptions:
-    """Output format plus whether narrative columns are included."""
-
-    format: str = "markdown"
-    include_narratives: bool = False
-
-    def __post_init__(self):
-        if self.format not in FORMATS:
-            raise ValueError(f"unknown format {self.format!r} (expected one of {FORMATS})")
-
-
-_RANKED_HEADERS = ("Rank", "Component", "Failure Mode", "S", "O", "D", "RPN",
-                   "Computed Class", "Declared Class", "Discrepancy")
-_NARRATIVE_HEADERS = ("Effect", "End Effect", "Cause", "Prevention Controls",
-                      "Detection Controls")
+# The ranked-row fields: JSON key (and CSV header), then Markdown heading.
+# entry_index has no heading: only JSON carries it.
+_RANKED_FIELDS = (
+    ("rank", "Rank"),
+    ("entry_index", None),
+    ("component", "Component"),
+    ("failure_mode", "Failure Mode"),
+    ("severity", "S"),
+    ("occurrence", "O"),
+    ("detection", "D"),
+    ("rpn", "RPN"),
+    ("computed_class", "Computed Class"),
+    ("declared_class", "Declared Class"),
+    ("discrepancy", "Discrepancy"),
+)
+_RANKED_KEYS = tuple(key for key, _ in _RANKED_FIELDS)
+_TABLE_FIELDS = tuple(field for field in _RANKED_FIELDS if field[1] is not None)
+_table_values = itemgetter(*(_RANKED_FIELDS.index(field) for field in _TABLE_FIELDS))
 
 
 def _label(value: ClassLabel | None) -> str:
@@ -54,13 +54,10 @@ def _md_cell(text: str) -> str:
     return text.replace("|", "\\|").replace("\r\n", " ").replace("\n", " ")
 
 
-def _md_table(headers: tuple[str, ...], rows: list[tuple[str, ...]]) -> str:
-    lines = [
-        "| " + " | ".join(_md_cell(h) for h in headers) + " |",
-        "|" + "|".join(" --- " for _ in headers) + "|",
-    ]
-    for row in rows:
-        lines.append("| " + " | ".join(_md_cell(c) for c in row) + " |")
+def _md_table(headers: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
+    lines = ["| " + " | ".join(_md_cell(c) for c in row) + " |"
+             for row in (headers, *rows)]
+    lines.insert(1, "|" + "|".join(" --- " for _ in headers) + "|")
     return "\n".join(lines) + "\n"
 
 
@@ -74,72 +71,50 @@ def _text_table(headers: tuple[str, ...], rows: list[tuple[str, ...]]) -> str:
     return "\n".join([fmt(headers)] + [fmt(r) for r in rows]) + "\n"
 
 
-def _csv_text(rows: list[list[object]]) -> str:
+def _csv_text(rows: Iterable[Sequence[object]]) -> str:
     buffer = io.StringIO(newline="")
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerows(rows)
     return buffer.getvalue()
 
 
-def _ranked_rows(results: list[RpnResult], ws: Worksheet,
-                 include_narratives: bool, yes_no=("yes", "no")) -> list[tuple[str, ...]]:
-    rows = []
-    for result in results:
-        entry = ws.entries[result.entry_index]
-        row = (
-            str(result.rank),
-            entry.component,
-            entry.failure_mode,
-            str(entry.triple.severity),
-            str(entry.triple.occurrence),
-            str(entry.triple.detection),
-            str(result.rpn),
-            result.computed_class.value,
-            _label(result.declared_class),
-            yes_no[0] if result.discrepancy else yes_no[1],
-        )
-        if include_narratives:
-            row += (entry.effect, entry.end_effect, entry.cause,
-                    entry.prevention_controls, entry.detection_controls)
-        rows.append(row)
-    return rows
+def _ranked_values(ws: Worksheet, result: RpnResult) -> tuple:
+    """One ranked row in _RANKED_FIELDS order, with its JSON values: None
+    for a missing declared class, a boolean discrepancy flag."""
+    entry = ws.entries[result.entry_index]
+    declared = result.declared_class
+    return (
+        result.rank, result.entry_index, entry.component, entry.failure_mode,
+        entry.triple.severity, entry.triple.occurrence, entry.triple.detection,
+        result.rpn, result.computed_class.value,
+        None if declared is None else declared.value, result.discrepancy,
+    )
 
 
-def render_ranked(results: list[RpnResult], ws: Worksheet,
-                  opts: RenderOptions = RenderOptions()) -> str:
-    """Render ranked results as a markdown, CSV, or text table.
+def _ranked_record(ws: Worksheet, result: RpnResult) -> dict[str, object]:
+    return dict(zip(_RANKED_KEYS, _ranked_values(ws, result)))
 
-    Rows follow rank order. The svg format is not applicable to ranked
-    tables and raises ValueError.
-    """
-    if opts.format == "svg":
-        raise ValueError("svg is only supported for risk matrices")
-    headers = _RANKED_HEADERS + (_NARRATIVE_HEADERS if opts.include_narratives else ())
-    if opts.format == "markdown":
-        return _md_table(headers, _ranked_rows(results, ws, opts.include_narratives))
-    if opts.format == "text":
-        return _text_table(headers, _ranked_rows(results, ws, opts.include_narratives))
-    # csv: machine-readable header names, empty cell for missing declared class
-    header = ["rank", "component", "failure_mode", "severity", "occurrence",
-              "detection", "rpn", "computed_class", "declared_class", "discrepancy"]
-    if opts.include_narratives:
-        header += ["effect", "end_effect", "cause", "prevention_controls",
-                   "detection_controls"]
-    rows: list[list[object]] = [header]
-    for result in results:
-        entry = ws.entries[result.entry_index]
-        row: list[object] = [
-            result.rank, entry.component, entry.failure_mode,
-            entry.triple.severity, entry.triple.occurrence, entry.triple.detection,
-            result.rpn, result.computed_class.value,
-            "" if result.declared_class is None else result.declared_class.value,
-            "true" if result.discrepancy else "false",
-        ]
-        if opts.include_narratives:
-            row += [entry.effect, entry.end_effect, entry.cause,
-                    entry.prevention_controls, entry.detection_controls]
-        rows.append(row)
-    return _csv_text(rows)
+
+def _table_rows(results: list[RpnResult], ws: Worksheet, missing: str,
+                yes: str, no: str) -> list[list[str]]:
+    """Ranked rows as table cells, spelling None and the flag per table."""
+    return [[missing if value is None else yes if value is True
+             else no if value is False else str(value)
+             for value in _table_values(_ranked_values(ws, result))]
+            for result in results]
+
+
+def render_ranked(results: list[RpnResult], ws: Worksheet) -> str:
+    """Render ranked results as a markdown table, rows in rank order."""
+    headings = tuple(heading for _, heading in _TABLE_FIELDS)
+    return _md_table(headings, _table_rows(results, ws, "-", "yes", "no"))
+
+
+def render_ranked_csv(results: list[RpnResult], ws: Worksheet) -> str:
+    """Render ranked results as CSV: machine-readable headers, an empty
+    cell for a missing declared class, true/false for the flag."""
+    rows = _table_rows(results, ws, "", "true", "false")
+    return _csv_text([[key for key, _ in _TABLE_FIELDS], *rows])
 
 
 def render_fmea_report(ws: Worksheet, results: list[RpnResult]) -> str:
@@ -155,20 +130,18 @@ def render_fmea_report(ws: Worksheet, results: list[RpnResult]) -> str:
         entry = ws.entries[result.entry_index]
         classification = (entry.declared_classification
                           or result.computed_class).value
-        def text(value: str) -> str:
-            return value if value else "-"
         lines.append("")
         lines.append(f"## {result.rank}. {entry.component}")
         lines.append("")
-        lines.append(f"- Failure mode: {text(entry.failure_mode)}")
+        lines.append(f"- Failure mode: {entry.failure_mode or '-'}")
         lines.append(f"- Severity (S): {entry.triple.severity}")
-        lines.append(f"- Effect: {text(entry.effect)}")
-        lines.append(f"- End effect: {text(entry.end_effect)}")
-        lines.append(f"- Cause: {text(entry.cause)}")
+        lines.append(f"- Effect: {entry.effect or '-'}")
+        lines.append(f"- End effect: {entry.end_effect or '-'}")
+        lines.append(f"- Cause: {entry.cause or '-'}")
         lines.append(f"- Classification: {classification}")
         lines.append(f"- Occurrence (O): {entry.triple.occurrence}")
-        lines.append(f"- Prevention controls: {text(entry.prevention_controls)}")
-        lines.append(f"- Detection controls: {text(entry.detection_controls)}")
+        lines.append(f"- Prevention controls: {entry.prevention_controls or '-'}")
+        lines.append(f"- Detection controls: {entry.detection_controls or '-'}")
         lines.append(f"- Detection (D): {entry.triple.detection}")
         lines.append(f"- RPN: {result.rpn}")
     return "\n".join(lines) + "\n"
@@ -300,7 +273,7 @@ def render_analysis_markdown(ws: Worksheet, results: list[RpnResult],
     else:
         lines.append("Entries: 0")
     lines.append("")
-    lines.append(render_ranked(results, ws, RenderOptions(format="markdown")).rstrip("\n"))
+    lines.append(render_ranked(results, ws).rstrip("\n"))
     lines.append("")
     lines.append("## Collisions")
     lines.append("")
@@ -341,7 +314,7 @@ def render_analysis_csv(ws: Worksheet, results: list[RpnResult],
          bands.marginal_min, bands.critical_min, bands.catastrophic_min],
     ]
     out = [_csv_text(summary_rows),
-           render_ranked(results, ws, RenderOptions(format="csv"))]
+           render_ranked_csv(results, ws)]
 
     collision_rows: list[list[object]] = [["rpn", "member_indices", "member_components"]]
     for group in groups:
@@ -367,23 +340,6 @@ def analysis_payload(ws: Worksheet, results: list[RpnResult],
                      groups: list[CollisionGroup], flagged: list[RpnResult],
                      summary: Summary, bands: ClassBands) -> dict:
     """Analysis as a JSON-serializable dict (the --format json contract)."""
-    def result_record(result: RpnResult) -> dict:
-        entry = ws.entries[result.entry_index]
-        return {
-            "rank": result.rank,
-            "entry_index": result.entry_index,
-            "component": entry.component,
-            "failure_mode": entry.failure_mode,
-            "severity": entry.triple.severity,
-            "occurrence": entry.triple.occurrence,
-            "detection": entry.triple.detection,
-            "rpn": result.rpn,
-            "computed_class": result.computed_class.value,
-            "declared_class": (None if result.declared_class is None
-                               else result.declared_class.value),
-            "discrepancy": result.discrepancy,
-        }
-
     mean = summary.rpn_mean
     return {
         "bands": [bands.marginal_min, bands.critical_min, bands.catastrophic_min],
@@ -399,7 +355,7 @@ def analysis_payload(ws: Worksheet, results: list[RpnResult],
                 label.value: summary.declared_class_counts[label]
                 for label in ClassLabel},
         },
-        "results": [result_record(r) for r in results],
+        "results": [_ranked_record(ws, r) for r in results],
         "collisions": [
             {
                 "rpn": group.rpn,
@@ -408,7 +364,7 @@ def analysis_payload(ws: Worksheet, results: list[RpnResult],
             }
             for group in groups
         ],
-        "discrepancies": [result_record(r) for r in flagged],
+        "discrepancies": [_ranked_record(ws, r) for r in flagged],
     }
 
 
@@ -439,11 +395,7 @@ def render_simulation_text(results: list[SimResult],
     return _text_table(headers, rows)
 
 
-_SCALES = (
-    ("severity", SEVERITY_SCALE),
-    ("occurrence", OCCURRENCE_SCALE),
-    ("detection", DETECTION_SCALE),
-)
+_SCALES = tuple(zip(RATING_FIELDS, (SEVERITY_SCALE, OCCURRENCE_SCALE, DETECTION_SCALE)))
 
 
 def render_scales_csv(which: str | None = None) -> str:

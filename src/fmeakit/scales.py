@@ -16,20 +16,42 @@ RATING_MIN = 1
 RATING_MAX = 10
 
 
+def is_rating(value: object) -> bool:
+    """True if *value* is an int (not a bool) on the 1-10 scale."""
+    return isinstance(value, int) and not isinstance(value, bool) \
+        and RATING_MIN <= value <= RATING_MAX
+
+
+def rating_message(value: object) -> str:
+    """Why *value* is not a rating; every input path reports this text."""
+    return f"must be an integer in [1, 10], got {value!r}"
+
+
+_RATINGS_BY_TEXT = {str(value): value for value in range(RATING_MIN, RATING_MAX + 1)}
+
+
+def rating_from_text(text: str) -> int | None:
+    """Parse a rating written as ASCII digits ("7", "07", "10"); None if
+    *text* is anything else. Signs, spaces, underscores and non-ASCII
+    digits are refused, not coerced, and int() is never called, so a
+    text of any length is safe."""
+    if text.isascii() and text.isdigit():
+        return _RATINGS_BY_TEXT.get(text.lstrip("0"))
+    return None
+
+
 class RatingRangeError(ValueError):
     """A rating outside the 1-10 scale."""
 
     def __init__(self, value: object, field: str = "rating"):
         self.value = value
         self.field = field
-        super().__init__(f"{field} must be an integer in [1, 10], got {value!r}")
+        super().__init__(f"{field} {rating_message(value)}")
 
 
 def check_rating(value: int, field: str = "rating") -> int:
     """Return *value* if it is a valid 1-10 rating, else raise RatingRangeError."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise RatingRangeError(value, field)
-    if not RATING_MIN <= value <= RATING_MAX:
+    if not is_rating(value):
         raise RatingRangeError(value, field)
     return value
 
@@ -55,7 +77,7 @@ class OccurrenceRate:
         return self.numerator / self.denominator
 
 
-# Rows are stored top-down (10 .. 1) as conventionally tabulated.
+# Rows run top-down (10 .. 1), as tabulated: rating r is at index 10 - r.
 SEVERITY_SCALE: tuple[ScaleRow, ...] = (
     ScaleRow(10, "Hazardous without warning",
              "Highest severity ranking of a failure mode, occurring without warning "
@@ -131,25 +153,13 @@ DETECTION_SCALE: tuple[ScaleRow, ...] = (
              "failure or subsequent failure mode"),
 )
 
-# "1 in N" denominators by occurrence rating. The scale's open ends
-# (">= 1 in 2" and "<= 1 in 1,500,000") are adopted as the point values
-# 1/2 and 1/1,500,000 so the mapping is a total function.
+# "1 in N" denominators by occurrence rating, read off the scale text. The
+# scale's open ends (">= 1 in 2" and "<= 1 in 1,500,000") are adopted as the
+# point values 1/2 and 1/1,500,000 so the mapping is a total function.
 OCCURRENCE_DENOMINATORS: dict[int, int] = {
-    10: 2,
-    9: 3,
-    8: 8,
-    7: 20,
-    6: 80,
-    5: 400,
-    4: 2000,
-    3: 15000,
-    2: 150000,
-    1: 1500000,
+    row.rating: int(row.criteria.rsplit(" ", 1)[1].replace(",", ""))
+    for row in OCCURRENCE_SCALE
 }
-
-_SEVERITY_BY_RATING = {row.rating: row for row in SEVERITY_SCALE}
-_OCCURRENCE_BY_RATING = {row.rating: row for row in OCCURRENCE_SCALE}
-_DETECTION_BY_RATING = {row.rating: row for row in DETECTION_SCALE}
 
 # Decision boundaries between adjacent ratings r and r+1, as the geometric
 # mean of their point rates (the scale is roughly log-spaced). Index i holds
@@ -169,19 +179,19 @@ def severity_row(rating: int) -> ScaleRow:
         RatingRangeError: if the rating is outside [1, 10].
     """
     check_rating(rating, "severity")
-    return _SEVERITY_BY_RATING[rating]
+    return SEVERITY_SCALE[RATING_MAX - rating]
 
 
 def occurrence_row(rating: int) -> ScaleRow:
     """Look up the occurrence scale row for a rating."""
     check_rating(rating, "occurrence")
-    return _OCCURRENCE_BY_RATING[rating]
+    return OCCURRENCE_SCALE[RATING_MAX - rating]
 
 
 def detection_row(rating: int) -> ScaleRow:
     """Look up the detection scale row for a rating."""
     check_rating(rating, "detection")
-    return _DETECTION_BY_RATING[rating]
+    return DETECTION_SCALE[RATING_MAX - rating]
 
 
 def occurrence_rate(rating: int) -> OccurrenceRate:

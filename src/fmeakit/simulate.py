@@ -26,6 +26,7 @@ from .scales import check_rating, occurrence_rate, rating_from_rate
 from .worksheet import Worksheet
 
 _SEED_MAX = 2**64 - 1
+_TRIALS_MAX = 2**63 - 1  # numpy draws binomial counts as int64
 
 
 @dataclass(frozen=True)
@@ -37,8 +38,9 @@ class SimConfig:
 
     def __post_init__(self):
         if not isinstance(self.trials, int) or isinstance(self.trials, bool) \
-                or self.trials < 1:
-            raise ValueError(f"trials must be a positive integer, got {self.trials!r}")
+                or not 1 <= self.trials <= _TRIALS_MAX:
+            raise ValueError(f"trials must be an integer in [1, 2**63 - 1], "
+                             f"got {self.trials!r}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) \
                 or not 0 <= self.seed <= _SEED_MAX:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")

@@ -9,10 +9,16 @@ violations so a whole worksheet can be fixed in one pass.
 
 from __future__ import annotations
 
+from collections.abc import Hashable, Iterable
 from dataclasses import dataclass, replace
 from enum import Enum, unique
+from typing import TypeVar
 
-from .scales import RATING_MAX, RATING_MIN
+from .scales import is_rating, rating_message
+
+RATING_FIELDS = ("severity", "occurrence", "detection")
+
+_K = TypeVar("_K", bound=Hashable)
 
 
 @unique
@@ -31,7 +37,8 @@ class ClassLabel(Enum):
         for label in cls:
             if label.value.lower() == wanted:
                 return label
-        raise ValueError(f"unknown classification {text!r}")
+        known = ", ".join(label.value for label in cls)
+        raise ValueError(f"unknown classification {text!r} (expected one of: {known})")
 
 
 @dataclass(frozen=True)
@@ -85,23 +92,26 @@ class Violation:
         return f"{where}{self.field}: {self.message}"
 
 
-def _rating_violations(triple: RatingTriple) -> list[Violation]:
-    out = []
-    for name in ("severity", "occurrence", "detection"):
-        value = getattr(triple, name)
-        if not isinstance(value, int) or isinstance(value, bool) or \
-                not RATING_MIN <= value <= RATING_MAX:
-            out.append(Violation(name, f"must be an integer in [1, 10], got {value!r}"))
-    return out
-
-
 def validate_entry(entry: FmeaEntry) -> list[Violation]:
     """Check one entry against its invariants; empty list means valid."""
     violations = []
     if not entry.component.strip():
         violations.append(Violation("component", "must not be empty"))
-    violations.extend(_rating_violations(entry.triple))
+    for name in RATING_FIELDS:
+        value = getattr(entry.triple, name)
+        if not is_rating(value):
+            violations.append(Violation(name, rating_message(value)))
     return violations
+
+
+def repeated_keys(keyed: Iterable[tuple[_K, int]]) -> list[tuple[_K, list[int]]]:
+    """Group (key, position) pairs by key and return each key seen more
+    than once with all its positions, in first-seen order."""
+    seen: dict[_K, list[int]] = {}
+    for key, position in keyed:
+        seen.setdefault(key, []).append(position)
+    return [(key, positions) for key, positions in seen.items()
+            if len(positions) > 1]
 
 
 def validate_worksheet(ws: Worksheet) -> list[Violation]:
@@ -116,15 +126,12 @@ def validate_worksheet(ws: Worksheet) -> list[Violation]:
         for v in validate_entry(entry):
             violations.append(replace(v, entry_index=index))
 
-    seen: dict[tuple[str, str], list[int]] = {}
-    for index, entry in enumerate(ws.entries):
-        seen.setdefault((entry.component, entry.failure_mode), []).append(index)
-    for (component, failure_mode), indices in seen.items():
-        if len(indices) > 1:
-            where = ", ".join(str(i) for i in indices)
-            violations.append(Violation(
-                "component, failure_mode",
-                f"duplicate pair ({component!r}, {failure_mode!r}) at entries {where}",
-                entry_index=indices[0],
-            ))
+    keyed = (((e.component, e.failure_mode), i) for i, e in enumerate(ws.entries))
+    for (component, failure_mode), indices in repeated_keys(keyed):
+        where = ", ".join(str(i) for i in indices)
+        violations.append(Violation(
+            "component, failure_mode",
+            f"duplicate pair ({component!r}, {failure_mode!r}) at entries {where}",
+            entry_index=indices[0],
+        ))
     return violations

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import subprocess
 import sys
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fmeakit import CSV_COLUMNS
 from fmeakit.cli import run
 
 BAD_CSV = (
@@ -31,6 +36,48 @@ def test_validate_locates_bad_rating(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "row 3" in captured.err and "'severity'" in captured.err
+
+
+def test_validate_json_nested_too_deeply(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"entries": ' + "[" * 100_000)
+    assert run(["validate", str(deep)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "[json] row 1: malformed JSON: nested too deeply to parse\n"
+
+
+def test_validate_json_integer_past_digit_limit(tmp_path, capsys):
+    long = tmp_path / "long.json"
+    long.write_text('{"entries": [{"component": "Pump", "failure_mode": "Seal leak", '
+                    f'"severity": {"5" * 5000}, "occurrence": 5, "detection": 5}}]}}')
+    assert run(["validate", str(long)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("[json] field 'entries[0].severity': must be an integer "
+                            f"in [1, 10], got Decimal('{'5' * 5000}')\n")
+
+
+# Arbitrary bytes, plus bytes behind a valid CSV header or a JSON prefix so
+# that inputs also reach the row and entry checks.
+_ANY_INPUT = st.one_of(
+    st.binary(max_size=300),
+    st.text(max_size=200).map(lambda t: (",".join(CSV_COLUMNS) + "\n" + t).encode()),
+    st.binary(max_size=300).map(lambda b: b'{"entries": [{' + b),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=_ANY_INPUT, suffix=st.sampled_from([".csv", ".json"]))
+def test_validate_any_bytes_keeps_the_contract(tmp_path_factory, data, suffix):
+    path = tmp_path_factory.getbasetemp() / f"fuzz{suffix}"
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(["validate", str(path)])
+    assert code in (0, 1)
+    if code != 0:
+        assert out.getvalue() == ""
 
 
 def test_analyze_json_payload(fixture_csv, capsys):
@@ -159,6 +206,13 @@ def test_simulate_mode_is_exclusive(fixture_csv, capsys):
 def test_simulate_rejects_nonpositive_trials(capsys):
     assert run(["simulate", "--rating", "5", "--trials", "0"]) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_simulate_rejects_trials_past_int64(capsys):
+    assert run(["simulate", "--rating", "3", "--trials", str(2**63)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "trials must be an integer in [1, 2**63 - 1]" in captured.err
 
 
 def test_dataset_roundtrips_through_stdin(fixture_csv, capsys, monkeypatch):

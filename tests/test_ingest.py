@@ -8,13 +8,16 @@ import pytest
 
 from fmeakit import (
     CSV_COLUMNS,
+    WORKSHEET_TITLE,
     ClassLabel,
     FmeaEntry,
     ParseFailure,
     RatingTriple,
     Worksheet,
+    bundled_csv_bytes,
     emit_csv,
     emit_json,
+    microgrid_worksheet,
     parse_csv,
     parse_json,
 )
@@ -51,6 +54,8 @@ def test_parse_csv_happy_path():
     assert ws.entries[0].triple == RatingTriple(5, 5, 5)
     assert ws.entries[0].declared_classification is None
     assert ws.entries[1].declared_classification is ClassLabel.CRITICAL
+    assert parse_csv(csv_doc(data_row(s="05", d="10"))).entries[0].triple \
+        == RatingTriple(5, 5, 10)
 
 
 def test_parse_csv_header_only_gives_empty_worksheet():
@@ -58,11 +63,15 @@ def test_parse_csv_header_only_gives_empty_worksheet():
 
 
 def test_parse_csv_locates_bad_rating():
-    # header is row 1, so the second data record is row 3
-    with pytest.raises(ParseFailure) as info:
-        parse_csv(csv_doc(data_row(), data_row(failure_mode="Other", s="x")))
-    assert errors_of(info) == [
-        (3, "severity", "must be an integer in [1, 10], got 'x'")]
+    # Only ASCII digits are a rating: int() would take the sign, the
+    # spaces, the underscore and the Arabic-Indic five. The 5,000-digit
+    # cell is past int()'s digit limit.
+    for raw in ("x", " 5 ", "+5", "0_5", "\u0665", "11", "0", "", "5" * 5000):
+        # header is row 1, so the second data record is row 3
+        with pytest.raises(ParseFailure) as info:
+            parse_csv(csv_doc(data_row(), data_row(failure_mode="Other", s=raw)))
+        assert errors_of(info) == [
+            (3, "severity", f"must be an integer in [1, 10], got {raw!r}")]
 
 
 def test_parse_csv_collects_every_error():
@@ -231,6 +240,29 @@ def test_parse_json_duplicate_pairs():
     with pytest.raises(ParseFailure) as info:
         parse_json(doc)
     assert "entries 0, 1" in info.value.errors[0].message
+
+
+def test_parse_json_locates_integer_past_digit_limit():
+    with pytest.raises(ParseFailure) as info:
+        parse_json(json_doc(severity=0).replace(
+            b'"severity": 0', b'"severity": -' + b"5" * 5000))
+    assert errors_of(info) == [
+        (None, "entries[0].severity",
+         f"must be an integer in [1, 10], got Decimal('-{'5' * 5000}')")]
+
+
+def test_parse_json_nested_too_deeply():
+    with pytest.raises(ParseFailure) as info:
+        parse_json(b'{"entries": ' + b"[" * 100_000)
+    assert errors_of(info) == [
+        (1, None, "malformed JSON: nested too deeply to parse")]
+
+
+def test_bundled_csv_is_the_only_copy_of_the_sheet():
+    ws = microgrid_worksheet()
+    assert ws.title == WORKSHEET_TITLE
+    assert len(ws) == 15
+    assert emit_csv(ws) == bundled_csv_bytes()
 
 
 def test_json_round_trip_fixture(fixture_ws):

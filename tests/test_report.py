@@ -5,8 +5,6 @@ from __future__ import annotations
 import csv
 import io
 
-import pytest
-
 from fmeakit import (
     DEFAULT_BANDS,
     FmeaEntry,
@@ -20,7 +18,6 @@ from fmeakit import (
     summary_stats,
 )
 from fmeakit.report import (
-    RenderOptions,
     analysis_payload,
     render_analysis_csv,
     render_analysis_markdown,
@@ -29,15 +26,11 @@ from fmeakit.report import (
     render_matrix_svg,
     render_matrix_text,
     render_ranked,
+    render_ranked_csv,
     render_scales_csv,
     render_simulation_text,
 )
 from fmeakit.simulate import SimConfig, simulate_worksheet
-
-
-def test_render_options_validate_format():
-    with pytest.raises(ValueError):
-        RenderOptions(format="pdf")
 
 
 def test_ranked_markdown_structure(fixture_ws):
@@ -59,8 +52,7 @@ def test_ranked_markdown_escapes_pipes_and_newlines():
 
 
 def test_ranked_csv_parses_back(fixture_ws):
-    text = render_ranked(rank(fixture_ws), fixture_ws,
-                         RenderOptions(format="csv"))
+    text = render_ranked_csv(rank(fixture_ws), fixture_ws)
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0][:3] == ["rank", "component", "failure_mode"]
     assert len(rows) == 16
@@ -71,32 +63,9 @@ def test_ranked_csv_parses_back(fixture_ws):
 def test_ranked_csv_missing_declared_is_empty():
     ws = Worksheet("w", [FmeaEntry("A", "x", RatingTriple(2, 2, 2))])
     rows = list(csv.reader(io.StringIO(
-        render_ranked(rank(ws), ws, RenderOptions(format="csv")))))
+        render_ranked_csv(rank(ws), ws))))
     assert rows[1][8] == ""
     assert rows[1][9] == "false"
-
-
-def test_ranked_text_format(fixture_ws):
-    text = render_ranked(rank(fixture_ws), fixture_ws,
-                         RenderOptions(format="text"))
-    lines = text.splitlines()
-    assert lines[0].startswith("Rank")
-    assert len(lines) == 16
-
-
-def test_ranked_narrative_columns(fixture_ws):
-    opts = RenderOptions(format="csv", include_narratives=True)
-    rows = list(csv.reader(io.StringIO(
-        render_ranked(rank(fixture_ws), fixture_ws, opts))))
-    assert rows[0][-5:] == ["effect", "end_effect", "cause",
-                            "prevention_controls", "detection_controls"]
-    assert any("intrusion detection systems" in cell
-               for row in rows for cell in row)
-
-
-def test_ranked_rejects_svg(fixture_ws):
-    with pytest.raises(ValueError):
-        render_ranked(rank(fixture_ws), fixture_ws, RenderOptions(format="svg"))
 
 
 def test_fmea_report_sections_in_rank_order(fixture_ws):

@@ -16,13 +16,14 @@ from fmeakit import (
 
 
 def test_config_rejects_bad_trials_and_seeds():
-    for bad_trials in (0, -1, 1.5, "10", True):
+    for bad_trials in (0, -1, 1.5, "10", True, 2**63):
         with pytest.raises(ValueError):
             SimConfig(trials=bad_trials)
     for bad_seed in (-1, 2**64, 0.5, None):
         with pytest.raises(ValueError):
             SimConfig(trials=10, seed=bad_seed)
     assert SimConfig(trials=1, seed=2**64 - 1).seed == 2**64 - 1
+    assert SimConfig(trials=2**63 - 1).trials == 2**63 - 1
 
 
 def test_same_seed_same_result():
