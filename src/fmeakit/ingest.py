@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 from decimal import Decimal
 
-from .scales import is_rating, rating_from_text, rating_message
+from .scales import rating_from_text
 from .worksheet import (
     RATING_FIELDS,
     ClassLabel,
@@ -27,11 +27,18 @@ from .worksheet import (
     RatingTriple,
     Worksheet,
     repeated_keys,
+    validate_entry,
 )
 
-CSV_COLUMNS = ("component", "failure_mode", *RATING_FIELDS, "effect", "end_effect",
-               "cause", "prevention_controls", "detection_controls",
+_REQUIRED_FIELDS = ("component", "failure_mode")
+_NARRATIVE_FIELDS = ("effect", "end_effect", "cause", "prevention_controls",
+                     "detection_controls")
+_TEXT_FIELDS = (*_REQUIRED_FIELDS, *_NARRATIVE_FIELDS)
+CSV_COLUMNS = (*_REQUIRED_FIELDS, *RATING_FIELDS, *_NARRATIVE_FIELDS,
                "declared_classification")
+# The order in which an entry's problems are reported.
+_PROBLEM_ORDER = (*_REQUIRED_FIELDS, *RATING_FIELDS, "declared_classification",
+                  *_NARRATIVE_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -66,24 +73,68 @@ class ParseFailure(Exception):
         super().__init__("\n".join(str(e) for e in self.errors))
 
 
-def _parse_rating(raw: str, column: str, row: int, errors: list[ParseError]) -> int:
-    value = rating_from_text(raw)
-    if value is None:
-        errors.append(ParseError("csv", rating_message(raw), row=row, column=column))
-        return 0
-    return value
-
-
-def _parse_classification(raw: str, errors: list[ParseError], source_kind: str,
-                          row: int | None, column: str) -> ClassLabel | None:
-    # Blank text declares no class; row and column locate an unknown label.
-    if not raw.strip():
-        return None
+def _decode(data: bytes, source_kind: str) -> str:
+    # A leading BOM is dropped after decoding, so error offsets count it.
     try:
-        return ClassLabel.from_text(raw)
-    except ValueError as exc:
-        errors.append(ParseError(source_kind, str(exc), row, column))
-        return None
+        return data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        line = data[:exc.start].count(b"\n") + 1
+        raise ParseFailure([ParseError(
+            source_kind, f"not valid UTF-8 at byte {exc.start}", row=line)]) from exc
+
+
+def _unicode_problem(text: str) -> str | None:
+    # JSON escapes can spell a lone surrogate, which no output can encode.
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        return (f"must be valid Unicode, got lone surrogate "
+                f"{text[exc.start]!r} at character {exc.start}")
+    return None
+
+
+def _entry(record: dict[str, object], errors: list[ParseError], source_kind: str,
+           row: int | None, prefix: str) -> FmeaEntry:
+    """Build an entry from one field->value record, appending its problems
+    to *errors*, one per field, located by *row* and *prefix* + field."""
+    problems: dict[str, str] = {}
+    text: dict[str, str] = {}
+    for name in _TEXT_FIELDS:
+        value = record.get(name)
+        if type(value) is str and value.isascii():
+            text[name] = value
+            continue
+        text[name] = ""
+        if value is None:
+            if name in _REQUIRED_FIELDS:
+                problems[name] = "missing required field"
+        elif not isinstance(value, str):
+            problems[name] = f"must be a string, got {value!r}"
+        elif (problem := _unicode_problem(value)) is not None:
+            problems[name] = problem
+        else:
+            text[name] = value
+
+    declared = None
+    raw_class = record.get("declared_classification")
+    if isinstance(raw_class, str):
+        if raw_class.strip():  # blank text declares no class
+            try:
+                declared = ClassLabel.from_text(raw_class)
+            except ValueError as exc:
+                problems["declared_classification"] = str(exc)
+    elif raw_class is not None:
+        problems["declared_classification"] = \
+            f"must be a string or null, got {raw_class!r}"
+
+    entry = FmeaEntry(triple=RatingTriple(*map(record.get, RATING_FIELDS)),
+                      declared_classification=declared, **text)
+    for violation in validate_entry(entry):
+        problems.setdefault(violation.field, violation.message)
+    if problems:
+        for name in sorted(problems, key=_PROBLEM_ORDER.index):
+            errors.append(ParseError(source_kind, problems[name], row, prefix + name))
+    return entry
 
 
 def _check_duplicates(keyed: list[tuple[tuple[str, str], int]],
@@ -108,13 +159,9 @@ def parse_csv(data: bytes) -> Worksheet:
         ParseFailure: with every located error found in the document.
     """
     errors: list[ParseError] = []
-    try:
-        text = data.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        line = data[:exc.start].count(b"\n") + 1
-        raise ParseFailure([ParseError(
-            "csv", f"not valid UTF-8 at byte {exc.start}", row=line)]) from exc
-
+    text = _decode(data, "csv")
+    if csv.field_size_limit() < len(text):  # no field is longer than the text
+        csv.field_size_limit(len(text))
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         rows = list(reader)
@@ -136,7 +183,6 @@ def parse_csv(data: bytes) -> Worksheet:
         errors.append(ParseError("csv", "duplicate column names in header", row=1))
     if errors:
         raise ParseFailure(errors)
-    positions = {name: header.index(name) for name in CSV_COLUMNS}
 
     entries: list[FmeaEntry] = []
     keyed_rows: list[tuple[tuple[str, str], int]] = []
@@ -146,95 +192,19 @@ def parse_csv(data: bytes) -> Worksheet:
                 "csv", f"expected {len(header)} fields, got {len(cells)}",
                 row=record_index))
             continue
-        get = lambda name: cells[positions[name]]
-
-        component = get("component")
-        if not component.strip():
-            errors.append(ParseError("csv", "must not be empty",
-                                     row=record_index, column="component"))
-        ratings = {name: _parse_rating(get(name), name, record_index, errors)
-                   for name in RATING_FIELDS}
-        declared = _parse_classification(get("declared_classification"), errors,
-                                         "csv", record_index,
-                                         "declared_classification")
-        keyed_rows.append(((component, get("failure_mode")), record_index))
-        entries.append(FmeaEntry(
-            component=component,
-            failure_mode=get("failure_mode"),
-            triple=RatingTriple(**ratings),
-            effect=get("effect"),
-            end_effect=get("end_effect"),
-            cause=get("cause"),
-            prevention_controls=get("prevention_controls"),
-            detection_controls=get("detection_controls"),
-            declared_classification=declared,
-        ))
+        record: dict[str, object] = dict(zip(header, cells))
+        for name in RATING_FIELDS:
+            value = rating_from_text(record[name])
+            if value is not None:
+                record[name] = value
+        entry = _entry(record, errors, "csv", record_index, "")
+        keyed_rows.append(((entry.component, entry.failure_mode), record_index))
+        entries.append(entry)
 
     _check_duplicates(keyed_rows, "csv", errors)
     if errors:
         raise ParseFailure(errors)
     return Worksheet(title="", entries=entries)
-
-
-def _json_entry(obj: object, index: int, errors: list[ParseError]) -> FmeaEntry | None:
-    path = f"entries[{index}]"
-    if not isinstance(obj, dict):
-        errors.append(ParseError("json", "entry must be an object", column=path))
-        return None
-
-    for name in obj:
-        if name not in CSV_COLUMNS:
-            errors.append(ParseError("json", "unknown field", column=f"{path}.{name}"))
-
-    def text_field(name: str, required: bool = False) -> str:
-        value = obj.get(name, None)
-        if value is None:
-            if required:
-                errors.append(ParseError("json", "missing required field",
-                                         column=f"{path}.{name}"))
-            return ""
-        if not isinstance(value, str):
-            errors.append(ParseError("json", f"must be a string, got {value!r}",
-                                     column=f"{path}.{name}"))
-            return ""
-        return value
-
-    component = text_field("component", required=True)
-    if isinstance(obj.get("component"), str) and not component.strip():
-        errors.append(ParseError("json", "must not be empty",
-                                 column=f"{path}.component"))
-    failure_mode = text_field("failure_mode", required=True)
-
-    ratings = {}
-    for name in RATING_FIELDS:
-        value = obj.get(name, None)
-        if is_rating(value):
-            ratings[name] = value
-        else:
-            errors.append(ParseError("json", rating_message(value),
-                                     column=f"{path}.{name}"))
-            ratings[name] = 0
-
-    declared = None
-    raw_class = obj.get("declared_classification", None)
-    where = f"{path}.declared_classification"
-    if isinstance(raw_class, str):
-        declared = _parse_classification(raw_class, errors, "json", None, where)
-    elif raw_class is not None:
-        errors.append(ParseError(
-            "json", f"must be a string or null, got {raw_class!r}", column=where))
-
-    return FmeaEntry(
-        component=component,
-        failure_mode=failure_mode,
-        triple=RatingTriple(**ratings),
-        effect=text_field("effect"),
-        end_effect=text_field("end_effect"),
-        cause=text_field("cause"),
-        prevention_controls=text_field("prevention_controls"),
-        detection_controls=text_field("detection_controls"),
-        declared_classification=declared,
-    )
 
 
 def _json_int(text: str) -> int | Decimal:
@@ -250,23 +220,19 @@ def parse_json(data: bytes) -> Worksheet:
     Entry fields are named as the CSV columns; validation semantics match
     parse_csv. Raises ParseFailure with every located error.
     """
+    text = _decode(data, "json")
     try:
-        document = json.loads(data.decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        line = data[:exc.start].count(b"\n") + 1
-        raise ParseFailure([ParseError(
-            "json", f"not valid UTF-8 at byte {exc.start}", row=line)]) from exc
+        document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseFailure([ParseError(
-            "json", f"malformed JSON: {exc.msg}", row=exc.lineno,
-            column=None)]) from exc
+            "json", f"malformed JSON: {exc.msg}", row=exc.lineno)]) from exc
     except RecursionError as exc:
         raise ParseFailure([ParseError(
             "json", "malformed JSON: nested too deeply to parse", row=1)]) from exc
     except ValueError:
         # An integer literal past int()'s digit limit: parse again, keeping
         # such literals as values that every field rejects with a location.
-        document = json.loads(data.decode("utf-8"), parse_int=_json_int)
+        document = json.loads(text, parse_int=_json_int)
 
     errors: list[ParseError] = []
     if not isinstance(document, dict):
@@ -277,9 +243,10 @@ def parse_json(data: bytes) -> Worksheet:
             errors.append(ParseError("json", "unknown field", column=name))
 
     title = document.get("title", "")
-    if not isinstance(title, str):
-        errors.append(ParseError("json", f"must be a string, got {title!r}",
-                                 column="title"))
+    problem = f"must be a string, got {title!r}" if not isinstance(title, str) \
+        else _unicode_problem(title)
+    if problem is not None:
+        errors.append(ParseError("json", problem, column="title"))
         title = ""
 
     raw_entries = document.get("entries", None)
@@ -290,10 +257,16 @@ def parse_json(data: bytes) -> Worksheet:
     entries: list[FmeaEntry] = []
     keyed: list[tuple[tuple[str, str], int]] = []
     for index, item in enumerate(raw_entries):
-        entry = _json_entry(item, index, errors)
-        if entry is not None:
-            keyed.append(((entry.component, entry.failure_mode), index))
-            entries.append(entry)
+        path = f"entries[{index}]"
+        if not isinstance(item, dict):
+            errors.append(ParseError("json", "entry must be an object", column=path))
+            continue
+        for name in item:
+            if name not in CSV_COLUMNS:
+                errors.append(ParseError("json", "unknown field", column=f"{path}.{name}"))
+        entry = _entry(item, errors, "json", None, f"{path}.")
+        keyed.append(((entry.component, entry.failure_mode), index))
+        entries.append(entry)
 
     _check_duplicates(keyed, "json", errors)
     if errors:

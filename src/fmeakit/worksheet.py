@@ -33,12 +33,14 @@ class ClassLabel(Enum):
     @classmethod
     def from_text(cls, text: str) -> "ClassLabel":
         """Parse a label case-insensitively; raises ValueError on unknown text."""
-        wanted = text.strip().lower()
-        for label in cls:
-            if label.value.lower() == wanted:
-                return label
-        known = ", ".join(label.value for label in cls)
-        raise ValueError(f"unknown classification {text!r} (expected one of: {known})")
+        label = _LABELS_BY_TEXT.get(text.strip().lower())
+        if label is None:
+            known = ", ".join(label.value for label in cls)
+            raise ValueError(f"unknown classification {text!r} (expected one of: {known})")
+        return label
+
+
+_LABELS_BY_TEXT = {label.value.lower(): label for label in ClassLabel}
 
 
 @dataclass(frozen=True)

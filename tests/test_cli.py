@@ -5,10 +5,11 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fmeakit import CSV_COLUMNS
@@ -20,6 +21,10 @@ BAD_CSV = (
     "Pump,Seal leak,5,5,5,,,,,,\n"
     "Fan,Stall,x,5,5,,,,,,\n"
 )
+
+# A JSON escape for a lone surrogate, which no output encoding can write.
+SURROGATE_JSON = (b'{"entries": [{"component": "A\\ud800", "failure_mode": "Leak", '
+                  b'"severity": 5, "occurrence": 5, "detection": 5}]}')
 
 
 def test_validate_fixture_ok(fixture_csv, capsys):
@@ -67,17 +72,36 @@ _ANY_INPUT = st.one_of(
 )
 
 
+_COMMANDS = (
+    ["validate"],
+    *(["analyze", "--format", f] for f in ("md", "csv", "json")),
+    *(["matrix", "--axes", "s-o", "--format", f] for f in ("text", "csv", "svg")),
+    ["report"],
+    ["simulate", "--trials", "1000"],
+)
+# An error names a row, a field or an entry; validate also counts them.
+_LOCATED = re.compile(r"\[(csv|json)\] (row \d+|field )|entry \d+: "
+                      r"|\d+ violation\(s\) in \d+ entries$")
+
+
 @settings(max_examples=200, deadline=None)
-@given(data=_ANY_INPUT, suffix=st.sampled_from([".csv", ".json"]))
-def test_validate_any_bytes_keeps_the_contract(tmp_path_factory, data, suffix):
+@given(data=_ANY_INPUT, suffix=st.sampled_from([".csv", ".json"]),
+       command=st.sampled_from(_COMMANDS))
+@example(data=SURROGATE_JSON, suffix=".json", command=["analyze", "--format", "md"])
+def test_validate_any_bytes_keeps_the_contract(tmp_path_factory, data, suffix, command):
     path = tmp_path_factory.getbasetemp() / f"fuzz{suffix}"
     path.write_bytes(data)
-    out, err = io.StringIO(), io.StringIO()
+    # A UTF-8 stream, as sys.stdout is: StringIO would take a lone
+    # surrogate without complaint, and it has no .buffer for SVG bytes.
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", write_through=True)
+    err = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run(["validate", str(path)])
+        code = run([command[0], str(path), *command[1:]])
     assert code in (0, 1)
     if code != 0:
-        assert out.getvalue() == ""
+        assert out.buffer.getvalue() == b""
+    for line in err.getvalue().splitlines():
+        assert _LOCATED.match(line), line
 
 
 def test_analyze_json_payload(fixture_csv, capsys):
@@ -279,3 +303,15 @@ def test_subprocess_exit_code_contract(tmp_path):
     assert proc.returncode == 1
     assert proc.stdout == b""
     assert b"row 3" in proc.stderr
+
+
+def test_subprocess_analyze_rejects_lone_surrogate(tmp_path):
+    sheet = tmp_path / "surrogate.json"
+    sheet.write_bytes(SURROGATE_JSON)
+    proc = subprocess.run(
+        [sys.executable, "-m", "fmeakit", "analyze", str(sheet)],
+        capture_output=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert proc.stderr == (b"[json] field 'entries[0].component': must be valid "
+                           b"Unicode, got lone surrogate '\\ud800' at character 1\n")

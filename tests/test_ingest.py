@@ -135,11 +135,17 @@ def test_parse_csv_rejects_non_utf8():
         parse_csv(b"component\n\xff\xfe")
     assert "not valid UTF-8" in info.value.errors[0].message
     assert info.value.errors[0].row == 2
+    # The byte offset counts a leading BOM.
+    with pytest.raises(ParseFailure) as info:
+        parse_csv(b"\xef\xbb\xbfcomponent\n\xff\xfe")
+    assert errors_of(info) == [(2, None, "not valid UTF-8 at byte 13")]
 
 
 def test_parse_csv_accepts_utf8_bom():
     plain = csv_doc(data_row())
     assert parse_csv(b"\xef\xbb\xbf" + plain) == parse_csv(plain)
+    plain = json_doc()
+    assert parse_json(b"\xef\xbb\xbf" + plain) == parse_json(plain)
 
 
 def test_parse_csv_quoted_fields_round_trip():
@@ -219,6 +225,21 @@ def test_parse_json_blank_component_rejected():
     assert info.value.errors[0].message == "must not be empty"
 
 
+def test_parse_json_rejects_lone_surrogates():
+    # No output encoding can write a lone surrogate, so no field may hold one.
+    with pytest.raises(ParseFailure) as info:
+        parse_json(json_doc(effect="A\udfff"))
+    assert errors_of(info) == [
+        (None, "entries[0].effect",
+         "must be valid Unicode, got lone surrogate '\\udfff' at character 1")]
+    data = json.dumps({"title": "\ud800", "entries": []}).encode()
+    with pytest.raises(ParseFailure) as info:
+        parse_json(data)
+    assert errors_of(info) == [
+        (None, "title",
+         "must be valid Unicode, got lone surrogate '\\ud800' at character 0")]
+
+
 def test_parse_json_classification_null_and_errors():
     assert parse_json(json_doc(declared_classification=None)) \
         .entries[0].declared_classification is None
@@ -281,6 +302,14 @@ def test_emitters_are_deterministic(fixture_ws):
     assert emit_csv(fixture_ws) == emit_csv(fixture_ws)
     assert b"\r" not in emit_csv(fixture_ws)
     assert emit_json(fixture_ws).endswith(b"\n")
+
+
+def test_long_field_round_trips_in_both_formats():
+    # Past the csv module's default field_size_limit of 131,072 characters.
+    ws = Worksheet("", [FmeaEntry("Pump", "Seal leak", RatingTriple(1, 1, 1),
+                                  effect="x" * 200_000)])
+    assert parse_csv(emit_csv(ws)) == ws
+    assert parse_json(emit_json(ws)) == ws
 
 
 def test_emit_json_keeps_non_ascii_readable():

@@ -2,27 +2,35 @@
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fmeakit import (
+    CSV_COLUMNS,
     ClassBands,
     ClassLabel,
     FmeaEntry,
     MatrixAxes,
+    ParseFailure,
     RatingTriple,
     Worksheet,
     classify,
     collisions,
     emit_json,
+    parse_csv,
     parse_json,
     rank,
     rating_from_rate,
     risk_matrix,
     rpn,
 )
+from fmeakit.scales import rating_from_text
+from fmeakit.worksheet import RATING_FIELDS
 
 ratings = st.integers(1, 10)
 triples = st.builds(RatingTriple, ratings, ratings, ratings)
@@ -109,6 +117,39 @@ def test_collisions_match_allpairs_oracle(ws):
 @given(worksheets)
 def test_json_round_trip(ws):
     assert parse_json(emit_json(ws)) == ws
+
+
+# Cells as a worksheet author might type them: blank, near-miss ratings
+# and labels, or any text a CSV file can carry.
+cells = st.one_of(
+    st.sampled_from(["", " ", "5", "05", "10", "11", "0", "+5", " 5", "\u0665",
+                     "Pump", "critical", " Marginal ", "Bogus"]),
+    st.text(max_size=10),
+)
+
+
+def _parse_outcome(parse, data):
+    # Accepted: the entries. Rejected: the fields the errors name, in order.
+    try:
+        return parse(data).entries
+    except ParseFailure as exc:
+        return [str(e.column).removeprefix("entries[0].") for e in exc.errors]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(cells, min_size=len(CSV_COLUMNS), max_size=len(CSV_COLUMNS)))
+def test_csv_and_json_agree_on_a_row(row):
+    # CRLF rows, because the csv module quotes only the terminator's
+    # characters, and a cell holding a bare CR must be quoted.
+    buffer = io.StringIO(newline="")
+    csv.writer(buffer, lineterminator="\r\n").writerows([CSV_COLUMNS, row])
+    record = dict(zip(CSV_COLUMNS, row))
+    for name in RATING_FIELDS:
+        if rating_from_text(record[name]) is not None:
+            record[name] = rating_from_text(record[name])
+    document = json.dumps({"title": "", "entries": [record]})
+    assert _parse_outcome(parse_csv, buffer.getvalue().encode("utf-8")) \
+        == _parse_outcome(parse_json, document.encode("utf-8"))
 
 
 @given(st.floats(min_value=1e-12, max_value=1.0, allow_nan=False))
