@@ -16,8 +16,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from decimal import Decimal
+from types import SimpleNamespace
 
 from .scales import rating_from_text
 from .worksheet import (
@@ -304,14 +306,25 @@ def emit_json(ws: Worksheet) -> bytes:
     return (json.dumps(document, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
 
 
+def csv_text(rows: Iterable[Sequence[object]]) -> str:
+    """Rows as CSV text in this module's dialect, each row ended by a line feed.
+
+    A cell is quoted when it holds a comma, a double quote, a line feed or
+    a carriage return. The csv module quotes only the characters of its
+    line terminator (before Python 3.13), so rows are written ending in
+    CRLF, one write each, and the CR is dropped from each row's end.
+    """
+    lines: list[str] = []
+    csv.writer(SimpleNamespace(write=lines.append),
+               lineterminator="\r\n").writerows(rows)
+    return "\n".join([line[:-2] for line in lines] + [""])
+
+
 def emit_csv(ws: Worksheet) -> bytes:
     """Serialize worksheet entries to deterministic CSV bytes (title is not
     representable in CSV and is dropped)."""
-    buffer = io.StringIO(newline="")
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    rows = [CSV_COLUMNS]
     for entry in ws.entries:
         record = _entry_record(entry)
-        writer.writerow(["" if record[c] is None else record[c]
-                         for c in CSV_COLUMNS])
-    return buffer.getvalue().encode("utf-8")
+        rows.append(["" if record[c] is None else record[c] for c in CSV_COLUMNS])
+    return csv_text(rows).encode("utf-8")

@@ -9,8 +9,6 @@ tool, so any change to them is a contract change.
 
 from __future__ import annotations
 
-import csv
-import io
 from collections.abc import Iterable, Sequence
 from operator import itemgetter
 
@@ -22,6 +20,7 @@ from .analysis import (
     RpnResult,
     Summary,
 )
+from .ingest import csv_text
 from .scales import DETECTION_SCALE, OCCURRENCE_SCALE, SEVERITY_SCALE
 from .simulate import SimResult
 from .worksheet import RATING_FIELDS, ClassLabel, Worksheet
@@ -62,20 +61,9 @@ def _md_table(headers: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
 
 
 def _text_table(headers: tuple[str, ...], rows: list[tuple[str, ...]]) -> str:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    def fmt(row: tuple[str, ...]) -> str:
-        return "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
-    return "\n".join([fmt(headers)] + [fmt(r) for r in rows]) + "\n"
-
-
-def _csv_text(rows: Iterable[Sequence[object]]) -> str:
-    buffer = io.StringIO(newline="")
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerows(rows)
-    return buffer.getvalue()
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
+    fmt = "  ".join(f"{{:<{width}}}" for width in widths).format
+    return "\n".join([fmt(*row).rstrip() for row in (headers, *rows)]) + "\n"
 
 
 def _ranked_values(ws: Worksheet, result: RpnResult) -> tuple:
@@ -114,7 +102,7 @@ def render_ranked_csv(results: list[RpnResult], ws: Worksheet) -> str:
     """Render ranked results as CSV: machine-readable headers, an empty
     cell for a missing declared class, true/false for the flag."""
     rows = _table_rows(results, ws, "", "true", "false")
-    return _csv_text([[key for key, _ in _TABLE_FIELDS], *rows])
+    return csv_text([[key for key, _ in _TABLE_FIELDS], *rows])
 
 
 def render_fmea_report(ws: Worksheet, results: list[RpnResult]) -> str:
@@ -173,7 +161,7 @@ def render_matrix_csv(matrix: RiskMatrix) -> str:
     rows: list[list[object]] = [["severity"] + [f"{prefix}{x}" for x in range(1, 11)]]
     for severity in range(10, 0, -1):
         rows.append([severity] + [matrix.count(severity, x) for x in range(1, 11)])
-    return _csv_text(rows)
+    return csv_text(rows)
 
 
 _CELL = 40
@@ -313,7 +301,7 @@ def render_analysis_csv(ws: Worksheet, results: list[RpnResult],
          "" if summary.rpn_mean is None else _mean_text(summary),
          bands.marginal_min, bands.critical_min, bands.catastrophic_min],
     ]
-    out = [_csv_text(summary_rows),
+    out = [csv_text(summary_rows),
            render_ranked_csv(results, ws)]
 
     collision_rows: list[list[object]] = [["rpn", "member_indices", "member_components"]]
@@ -323,7 +311,7 @@ def render_analysis_csv(ws: Worksheet, results: list[RpnResult],
             ";".join(str(i) for i in group.members),
             ";".join(ws.entries[i].component for i in group.members),
         ])
-    out.append(_csv_text(collision_rows))
+    out.append(csv_text(collision_rows))
 
     flagged_rows: list[list[object]] = [
         ["rank", "component", "rpn", "computed_class", "declared_class"]]
@@ -332,7 +320,7 @@ def render_analysis_csv(ws: Worksheet, results: list[RpnResult],
             result.rank, ws.entries[result.entry_index].component, result.rpn,
             result.computed_class.value, _label(result.declared_class),
         ])
-    out.append(_csv_text(flagged_rows))
+    out.append(csv_text(flagged_rows))
     return "\n".join(out)
 
 
@@ -410,4 +398,4 @@ def render_scales_csv(which: str | None = None) -> str:
             continue
         for row in table:
             rows.append([name, row.rating, row.label, row.criteria])
-    return _csv_text(rows)
+    return csv_text(rows)

@@ -14,10 +14,16 @@ keeps the rare-rating cases (down to p = 1/1,500,000) fast. The generator
 is numpy's PCG64; a (seed, entry index) -> stream derivation makes
 worksheet runs independent of iteration order and scheduling. Determinism
 binds seed to count for a given build, not across numpy versions.
+
+Each stream is the one numpy's ``PCG64(SeedSequence(seed,
+spawn_key=key))`` starts, but the seed states of all streams are derived
+in one vectorised pass and drawn from through one reused generator, which
+is several times cheaper than building those objects per entry.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +33,17 @@ from .worksheet import Worksheet
 
 _SEED_MAX = 2**64 - 1
 _TRIALS_MAX = 2**63 - 1  # numpy draws binomial counts as int64
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx) and the
+# PCG64 multiplier (numpy/random/src/pcg64/pcg64.h).
+_MASK32 = 2**32 - 1
+_MASK128 = 2**128 - 1
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_PCG64_MULT = 2549297995355413924 << 64 | 4865540595714422341
 
 
 @dataclass(frozen=True)
@@ -58,22 +75,93 @@ class SimResult:
     agrees: bool
 
 
-def _draw(rating: int, cfg: SimConfig, spawn_key: tuple[int, ...]) -> SimResult:
+def _hasher(const: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
+    """SeedSequence's word hash, whose constant advances on every call."""
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> _XSHIFT)
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> _XSHIFT)
+
+
+def _stream_states(seed: int, key_words: np.ndarray) -> list[tuple[int, int]]:
+    """The PCG64 ``(state, inc)`` of ``PCG64(SeedSequence(seed, spawn_key))``
+    for every row of *key_words*, a uint32 array of shape (streams, k) whose
+    row holds the spawn key as SeedSequence splits it into 32-bit words
+    (k = 0 for the empty key, 1 for an index below 2**32).
+
+    Mirrors numpy's SeedSequence (entropy pooling, then generate_state(4,
+    uint64)) on whole columns of uint32 words, then PCG64's seeding in
+    Python integers. Every hash operand is a np.uint32 array or scalar, so
+    the arithmetic wraps at 32 bits under numpy 1.x casting and NEP 50 alike.
+    """
+    streams = key_words.shape[0]
+    # A 64-bit seed is at most two words; the pool pads the entropy with
+    # zeros to its size, then the spawn key words are mixed in after it.
+    words = [np.full(streams, word, dtype=np.uint32)
+             for word in (seed & _MASK32, seed >> 32, 0, 0)]
+    words += list(key_words.T)
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+
+    # generate_state(4, uint64): eight words cycling over the pool, paired
+    # little-endian into (seed high, seed low, sequence high, sequence low).
+    hash_out = _hasher(_INIT_B, _MULT_B)
+    state_words = [hash_out(pool[i % _POOL_SIZE]) for i in range(8)]
+    halves = [(state_words[2 * j + 1].astype(np.uint64) << np.uint64(32)
+               | state_words[2 * j]).tolist() for j in range(4)]
+
+    # PCG64 seeding: inc = 2 * sequence + 1; state 0, step, add the seed, step.
+    states = []
+    for seed_hi, seed_lo, seq_hi, seq_lo in zip(*halves):
+        inc = ((seq_hi << 65) | (seq_lo << 1) | 1) & _MASK128
+        state = (((seed_hi << 64 | seed_lo) + inc) * _PCG64_MULT + inc) & _MASK128
+        states.append((state, inc))
+    return states
+
+
+def _draw(generator: np.random.Generator, rating: int, trials: int) -> SimResult:
     probability = occurrence_rate(rating).probability
-    sequence = np.random.SeedSequence(cfg.seed, spawn_key=spawn_key)
-    generator = np.random.Generator(np.random.PCG64(sequence))
-    failures = int(generator.binomial(cfg.trials, probability))
-    empirical_rate = failures / cfg.trials
+    failures = int(generator.binomial(trials, probability))
+    empirical_rate = failures / trials
     # Zero failures is the correct inference at the scale floor, not an error.
     rating_out = rating_from_rate(empirical_rate) if failures > 0 else 1
     return SimResult(
         rating_in=rating,
-        trials=cfg.trials,
+        trials=trials,
         failures=failures,
         empirical_rate=empirical_rate,
         rating_out=rating_out,
         agrees=rating_out == rating,
     )
+
+
+def _simulate(ratings: list[int], cfg: SimConfig,
+              key_words: np.ndarray) -> list[SimResult]:
+    """Draw rating i from the stream whose spawn key is row i of key_words."""
+    bit_generator = np.random.PCG64(0)  # its state is replaced before each draw
+    generator = np.random.Generator(bit_generator)
+    results = []
+    for rating, (state, inc) in zip(ratings, _stream_states(cfg.seed, key_words)):
+        bit_generator.state = {"bit_generator": "PCG64",
+                               "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        results.append(_draw(generator, rating, cfg.trials))
+    return results
 
 
 def simulate_occurrence(rating: int, cfg: SimConfig) -> SimResult:
@@ -82,7 +170,7 @@ def simulate_occurrence(rating: int, cfg: SimConfig) -> SimResult:
     Fully determined by (rating, cfg.trials, cfg.seed).
     """
     check_rating(rating, "occurrence")
-    return _draw(rating, cfg, spawn_key=())
+    return _simulate([rating], cfg, np.empty((1, 0), dtype=np.uint32))[0]
 
 
 def simulate_worksheet(ws: Worksheet, cfg: SimConfig) -> list[SimResult]:
@@ -92,5 +180,8 @@ def simulate_worksheet(ws: Worksheet, cfg: SimConfig) -> list[SimResult]:
     output does not depend on iteration order or on entries being
     simulated in parallel.
     """
-    return [_draw(entry.triple.occurrence, cfg, spawn_key=(index,))
-            for index, entry in enumerate(ws.entries)]
+    count = len(ws.entries)
+    if count > _MASK32 + 1:  # a larger index is a two-word spawn key
+        raise ValueError(f"a worksheet simulates at most 2**32 entries, got {count}")
+    ratings = [entry.triple.occurrence for entry in ws.entries]
+    return _simulate(ratings, cfg, np.arange(count, dtype=np.uint32).reshape(count, 1))

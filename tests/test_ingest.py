@@ -312,6 +312,15 @@ def test_long_field_round_trips_in_both_formats():
     assert parse_json(emit_json(ws)) == ws
 
 
+def test_carriage_returns_round_trip_through_csv():
+    # A bare CR in a cell must be quoted, or the reader ends the row there.
+    ws = Worksheet("", [FmeaEntry("A\rB", "Seal leak", RatingTriple(1, 1, 1),
+                                  effect="\r0", cause="x\r\ny\r")])
+    data = emit_csv(ws)
+    assert b'"A\rB"' in data and b'"\r0"' in data
+    assert parse_csv(data) == ws
+
+
 def test_emit_json_keeps_non_ascii_readable():
     ws = Worksheet("µgrid", [FmeaEntry("Pump", "Seal leak",
                                        RatingTriple(1, 1, 1))])

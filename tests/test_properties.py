@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import replace
 
@@ -29,6 +27,7 @@ from fmeakit import (
     risk_matrix,
     rpn,
 )
+from fmeakit.ingest import csv_text
 from fmeakit.scales import rating_from_text
 from fmeakit.worksheet import RATING_FIELDS
 
@@ -139,16 +138,15 @@ def _parse_outcome(parse, data):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(cells, min_size=len(CSV_COLUMNS), max_size=len(CSV_COLUMNS)))
 def test_csv_and_json_agree_on_a_row(row):
-    # CRLF rows, because the csv module quotes only the terminator's
-    # characters, and a cell holding a bare CR must be quoted.
-    buffer = io.StringIO(newline="")
-    csv.writer(buffer, lineterminator="\r\n").writerows([CSV_COLUMNS, row])
+    # Written by the package's own CSV writer, which must quote any cell
+    # the reader would otherwise split, a bare CR included.
+    text = csv_text([CSV_COLUMNS, row])
     record = dict(zip(CSV_COLUMNS, row))
     for name in RATING_FIELDS:
         if rating_from_text(record[name]) is not None:
             record[name] = rating_from_text(record[name])
     document = json.dumps({"title": "", "entries": [record]})
-    assert _parse_outcome(parse_csv, buffer.getvalue().encode("utf-8")) \
+    assert _parse_outcome(parse_csv, text.encode("utf-8")) \
         == _parse_outcome(parse_json, document.encode("utf-8"))
 
 

@@ -68,6 +68,17 @@ def test_ranked_csv_missing_declared_is_empty():
     assert rows[1][9] == "false"
 
 
+def test_ranked_csv_quotes_carriage_returns():
+    # failure_mode is the ranked table's free-text field besides component
+    ws = Worksheet("w", [FmeaEntry("A\rB", "x\ry", RatingTriple(2, 2, 2)),
+                         FmeaEntry("C", "\r0", RatingTriple(1, 1, 1))])
+    rows = list(csv.reader(io.StringIO(render_ranked_csv(rank(ws), ws),
+                                       newline="")))
+    assert len(rows) == 3
+    assert rows[1][1:3] == ["A\rB", "x\ry"]
+    assert rows[2][1:3] == ["C", "\r0"]
+
+
 def test_fmea_report_sections_in_rank_order(fixture_ws):
     text = render_fmea_report(fixture_ws, rank(fixture_ws))
     assert text.startswith("# FMEA report")

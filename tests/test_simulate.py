@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import random
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
 from fmeakit import (
@@ -13,6 +17,11 @@ from fmeakit import (
     simulate_occurrence,
     simulate_worksheet,
 )
+from fmeakit.scales import occurrence_rate
+from fmeakit.simulate import _stream_states
+
+# Edge words of the 64-bit seed range, plus one fixed random value.
+ORACLE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, random.Random(5).getrandbits(64))
 
 
 def test_config_rejects_bad_trials_and_seeds():
@@ -112,3 +121,46 @@ def test_worksheet_run_is_deterministic(fixture_ws):
     cfg = SimConfig(trials=20_000, seed=1)
     assert simulate_worksheet(fixture_ws, cfg) == \
         simulate_worksheet(fixture_ws, cfg)
+
+
+def numpy_generator(seed, key):
+    """The stream the README documents, built by numpy itself."""
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+
+
+def test_stream_states_match_numpy_seed_sequence():
+    indices = [*range(300), 65_535, 65_536, 2**20]
+    index_words = np.array(indices, dtype=np.uint32).reshape(-1, 1)
+    for seed in ORACLE_SEEDS:
+        expected = []
+        for key in [(index,) for index in indices] + [(), (2**32,), (2**64 - 1,)]:
+            state = numpy_generator(seed, key).bit_generator.state["state"]
+            expected.append((state["state"], state["inc"]))
+        got = _stream_states(seed, index_words)
+        got += _stream_states(seed, np.empty((1, 0), dtype=np.uint32))
+        # a key of 2**32 or more is split into two little-endian words
+        got += _stream_states(seed, np.array([[0, 1], [2**32 - 1, 2**32 - 1]],
+                                             dtype=np.uint32))
+        assert got == expected
+
+
+def test_draws_match_a_numpy_reference_loop(fixture_ws):
+    for trials in (1, 10**3, 10**9):
+        cfg = SimConfig(trials=trials, seed=7)
+        expected = [
+            int(numpy_generator(cfg.seed, (index,)).binomial(
+                trials, occurrence_rate(entry.triple.occurrence).probability))
+            for index, entry in enumerate(fixture_ws.entries)]
+        assert [r.failures for r in simulate_worksheet(fixture_ws, cfg)] == expected
+        for rating in range(1, 11):
+            failures = numpy_generator(cfg.seed, ()).binomial(
+                trials, occurrence_rate(rating).probability)
+            assert simulate_occurrence(rating, cfg).failures == failures
+
+
+def test_worksheet_past_one_word_indices_is_refused():
+    # An index of 2**32 would need a two-word spawn key.
+    huge = SimpleNamespace(entries=range(2**32 + 1))
+    with pytest.raises(ValueError, match="at most 2\\*\\*32 entries"):
+        simulate_worksheet(huge, SimConfig(trials=10))
