@@ -2,14 +2,14 @@
 
 Exit codes: 0 success, 1 data or validation failure, 2 usage error.
 Diagnostics go to stderr; payload goes to stdout, and nothing is written
-to stdout when the exit code is nonzero. Every subcommand builds its
-whole payload before writing, so output is all-or-nothing.
+to stdout when the exit code is nonzero. Every subcommand returns its
+whole payload, and `run` writes it in one write as UTF-8, whatever the
+locale, so output is all-or-nothing.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .analysis import (
@@ -22,7 +22,7 @@ from .analysis import (
     summary_stats,
 )
 from .dataset import bundled_csv_bytes, microgrid_worksheet
-from .ingest import ParseFailure, emit_json, parse_csv, parse_json
+from .ingest import ParseFailure, emit_json, json_text, parse_csv, parse_json
 from .report import (
     analysis_payload,
     render_analysis_csv,
@@ -35,7 +35,7 @@ from .report import (
     render_simulation_text,
 )
 from .simulate import SimConfig, simulate_occurrence, simulate_worksheet
-from .worksheet import Worksheet, validate_worksheet
+from .worksheet import Worksheet
 
 
 class _UsageError(Exception):
@@ -89,61 +89,41 @@ def _bands_type(text: str) -> ClassBands:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    ws = _load(args.file)
-    violations = validate_worksheet(ws)
-    if violations:
-        for violation in violations:
-            print(str(violation), file=sys.stderr)
-        print(f"{len(violations)} violation(s) in {len(ws)} entries",
-              file=sys.stderr)
-        return 1
-    print(f"OK: {len(ws)} entries, no violations")
-    return 0
+def _cmd_validate(args: argparse.Namespace) -> str:
+    # The parsers reject every violation validate_worksheet would report.
+    return f"OK: {len(_load(args.file))} entries, no violations\n"
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _cmd_analyze(args: argparse.Namespace) -> str:
     ws = _load(args.file)
     bands = args.bands
     results = rank(ws, bands)
     groups = collisions(ws)
     flagged = [r for r in results if r.discrepancy]
     summary = summary_stats(ws, bands)
+    parts = (ws, results, groups, flagged, summary, bands)
     if args.format == "md":
-        payload = render_analysis_markdown(ws, results, groups, flagged,
-                                           summary, bands)
-    elif args.format == "csv":
-        payload = render_analysis_csv(ws, results, groups, flagged,
-                                      summary, bands)
-    else:
-        document = analysis_payload(ws, results, groups, flagged, summary, bands)
-        payload = json.dumps(document, indent=2, ensure_ascii=False) + "\n"
-    sys.stdout.write(payload)
-    return 0
-
-
-def _cmd_matrix(args: argparse.Namespace) -> int:
-    ws = _load(args.file)
-    matrix = risk_matrix(ws, MatrixAxes(args.axes))
-    if args.format == "svg":
-        sys.stdout.buffer.write(render_matrix_svg(matrix))
-        sys.stdout.buffer.flush()
-        return 0
+        return render_analysis_markdown(*parts)
     if args.format == "csv":
-        sys.stdout.write(render_matrix_csv(matrix))
-    else:
-        sys.stdout.write(render_matrix_text(matrix))
-    return 0
+        return render_analysis_csv(*parts)
+    return json_text(analysis_payload(*parts))
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
+def _cmd_matrix(args: argparse.Namespace) -> str | bytes:
+    matrix = risk_matrix(_load(args.file), MatrixAxes(args.axes))
+    if args.format == "svg":
+        return render_matrix_svg(matrix)
+    if args.format == "csv":
+        return render_matrix_csv(matrix)
+    return render_matrix_text(matrix)
+
+
+def _cmd_report(args: argparse.Namespace) -> str:
     ws = _load(args.file)
-    results = rank(ws, DEFAULT_BANDS)
-    sys.stdout.write(render_fmea_report(ws, results))
-    return 0
+    return render_fmea_report(ws, rank(ws, DEFAULT_BANDS))
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> str:
     if (args.file is None) == (args.rating is None):
         raise _UsageError("simulate needs a worksheet file or --rating, "
                           "but not both")
@@ -152,28 +132,20 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     if args.rating is not None:
-        payload = render_simulation_text([simulate_occurrence(args.rating, cfg)])
-    else:
-        ws = _load(args.file)
-        results = simulate_worksheet(ws, cfg)
-        components = [entry.component for entry in ws.entries]
-        payload = render_simulation_text(results, components)
-    sys.stdout.write(payload)
-    return 0
+        return render_simulation_text([simulate_occurrence(args.rating, cfg)])
+    ws = _load(args.file)
+    components = [entry.component for entry in ws.entries]
+    return render_simulation_text(simulate_worksheet(ws, cfg), components)
 
 
-def _cmd_dataset(args: argparse.Namespace) -> int:
+def _cmd_dataset(args: argparse.Namespace) -> bytes:
     if args.format == "json":
-        sys.stdout.buffer.write(emit_json(microgrid_worksheet()))
-    else:
-        sys.stdout.buffer.write(bundled_csv_bytes())
-    sys.stdout.buffer.flush()
-    return 0
+        return emit_json(microgrid_worksheet())
+    return bundled_csv_bytes()
 
 
-def _cmd_scales(args: argparse.Namespace) -> int:
-    sys.stdout.write(render_scales_csv(args.scale))
-    return 0
+def _cmd_scales(args: argparse.Namespace) -> str:
+    return render_scales_csv(args.scale)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -243,7 +215,12 @@ def run(argv: list[str] | None = None) -> int:
             return 0
         return code if isinstance(code, int) else 2
     try:
-        return args.handler(args)
+        payload = args.handler(args)
+        if isinstance(payload, str):
+            payload = payload.encode("utf-8")
+        sys.stdout.buffer.write(payload)
+        sys.stdout.buffer.flush()
+        return 0
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

@@ -41,6 +41,11 @@ CSV_COLUMNS = (*_REQUIRED_FIELDS, *RATING_FIELDS, *_NARRATIVE_FIELDS,
 # The order in which an entry's problems are reported.
 _PROBLEM_ORDER = (*_REQUIRED_FIELDS, *RATING_FIELDS, "declared_classification",
                   *_NARRATIVE_FIELDS)
+# The csv module refuses NUL before Python 3.11. Its reader gets this
+# stand-in for NUL instead, and its writer takes it as the escape
+# character, which lets NUL through as is. A lone surrogate: no text
+# decoded from UTF-8 holds one, and no UTF-8 output can.
+_NUL_STAND_IN = "\ud800"
 
 
 @dataclass(frozen=True)
@@ -164,12 +169,14 @@ def parse_csv(data: bytes) -> Worksheet:
     text = _decode(data, "csv")
     if csv.field_size_limit() < len(text):  # no field is longer than the text
         csv.field_size_limit(len(text))
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(io.StringIO(text.replace("\0", _NUL_STAND_IN), newline=""))
     try:
         rows = list(reader)
     except csv.Error as exc:
         raise ParseFailure([ParseError(
             "csv", f"malformed CSV: {exc}", row=reader.line_num)]) from exc
+    if "\0" in text:
+        rows = [[cell.replace(_NUL_STAND_IN, "\0") for cell in row] for row in rows]
 
     if not rows:
         raise ParseFailure([ParseError("csv", "missing header row", row=1)])
@@ -303,7 +310,12 @@ def emit_json(ws: Worksheet) -> bytes:
         "title": ws.title,
         "entries": [_entry_record(e) for e in ws.entries],
     }
-    return (json.dumps(document, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    return json_text(document).encode("utf-8")
+
+
+def json_text(document: object) -> str:
+    """A JSON document as text: two-space indent, non-ASCII kept, one final LF."""
+    return json.dumps(document, indent=2, ensure_ascii=False) + "\n"
 
 
 def csv_text(rows: Iterable[Sequence[object]]) -> str:
@@ -312,11 +324,12 @@ def csv_text(rows: Iterable[Sequence[object]]) -> str:
     A cell is quoted when it holds a comma, a double quote, a line feed or
     a carriage return. The csv module quotes only the characters of its
     line terminator (before Python 3.13), so rows are written ending in
-    CRLF, one write each, and the CR is dropped from each row's end.
+    CRLF, one write each, and the CR is dropped from each row's end. NUL
+    is written as is.
     """
     lines: list[str] = []
-    csv.writer(SimpleNamespace(write=lines.append),
-               lineterminator="\r\n").writerows(rows)
+    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n",
+               escapechar=_NUL_STAND_IN).writerows(rows)
     return "\n".join([line[:-2] for line in lines] + [""])
 
 

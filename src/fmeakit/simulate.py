@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scales import check_rating, occurrence_rate, rating_from_rate
+from .scales import OCCURRENCE_DENOMINATORS, check_rating, rating_from_rate
 from .worksheet import Worksheet
 
 _SEED_MAX = 2**64 - 1
@@ -134,8 +134,13 @@ def _stream_states(seed: int, key_words: np.ndarray) -> list[tuple[int, int]]:
     return states
 
 
+# occurrence_rate(r).probability for each rating, looked up once.
+_PROBABILITY = {r: 1 / n for r, n in OCCURRENCE_DENOMINATORS.items()}
+
+
 def _draw(generator: np.random.Generator, rating: int, trials: int) -> SimResult:
-    probability = occurrence_rate(rating).probability
+    # A bare lookup would take True as rating 1; ratings are never coerced.
+    probability = _PROBABILITY[check_rating(rating, "occurrence")]
     failures = int(generator.binomial(trials, probability))
     empirical_rate = failures / trials
     # Zero failures is the correct inference at the scale floor, not an error.

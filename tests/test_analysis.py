@@ -162,6 +162,23 @@ def test_no_collisions_when_all_rpns_distinct():
     assert collisions(make_ws((1, 1, 1), (2, 1, 1), (3, 1, 1))) == []
 
 
+def test_full_rating_cube_has_120_rpn_values():
+    # Bowles (RAMS 2003): the 1,000 rating triples give only 120 distinct
+    # RPNs, and only the six cubes below come from a single triple.
+    cube = [(s, o, d) for s in range(1, 11) for o in range(1, 11)
+            for d in range(1, 11)]
+    ws = make_ws(*cube)
+    assert len({r.rpn for r in rank(ws)}) == 120
+    groups = collisions(ws)
+    assert len(groups) == 114
+    singles = {1, 125, 343, 512, 729, 1000}
+    members = sorted(i for g in groups for i in g.members)
+    assert members == [i for i, t in enumerate(cube)
+                       if rpn(RatingTriple(*t)) not in singles]
+    assert len(members) == 994
+    assert max(len(g.members) for g in groups) == 24
+
+
 EXPECTED_DISCREPANCIES = {
     "Database", "Automatic transfer switch (ATS)",
     "Intelligent electronic device (IED)", "Generator controller",

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -82,9 +83,8 @@ _COMMANDS = (
     ["report"],
     ["simulate", "--trials", "1000"],
 )
-# An error names a row, a field or an entry; validate also counts them.
-_LOCATED = re.compile(r"\[(csv|json)\] (row \d+|field )|entry \d+: "
-                      r"|\d+ violation\(s\) in \d+ entries$")
+# An error names a row or a field.
+_LOCATED = re.compile(r"\[(csv|json)\] (row \d+|field )")
 
 
 @settings(max_examples=200, deadline=None)
@@ -326,6 +326,25 @@ def test_subprocess_exit_code_contract(tmp_path):
     assert proc.returncode == 1
     assert proc.stdout == b""
     assert b"row 3" in proc.stderr
+
+
+def test_subprocess_output_is_utf8_whatever_the_locale(tmp_path):
+    # The occurrence scale holds "≥"; stdout is UTF-8 under any
+    # PYTHONIOENCODING.
+    sheet = tmp_path / "omega.csv"
+    sheet.write_text(",".join(CSV_COLUMNS) + "\nPumpΩ,Seal leak,5,5,5,,,,,,\n",
+                     encoding="utf-8")
+    commands = (["scales", "--scale", "o"], ["report", str(sheet)],
+                *(["analyze", str(sheet), "--format", f] for f in ("md", "csv", "json")))
+    for command in commands:
+        utf8, ascii_ = (subprocess.run(
+            [sys.executable, "-m", "fmeakit", *command], capture_output=True,
+            timeout=60, env={**os.environ, "PYTHONIOENCODING": encoding})
+            for encoding in ("utf-8", "ascii"))
+        assert utf8.returncode == ascii_.returncode == 0, command
+        assert utf8.stderr == ascii_.stderr == b""
+        assert ascii_.stdout == utf8.stdout
+        assert not utf8.stdout.isascii()
 
 
 def test_subprocess_analyze_rejects_lone_surrogate(tmp_path):

@@ -321,6 +321,21 @@ def test_carriage_returns_round_trip_through_csv():
     assert parse_csv(data) == ws
 
 
+def test_nul_round_trips_through_csv_and_matches_json():
+    # The csv module refuses NUL before Python 3.11; both formats take it.
+    ws = Worksheet("", [FmeaEntry("A\0B", "Seal leak", RatingTriple(1, 1, 1),
+                                  effect="x\0", cause='"\0,')])
+    data = emit_csv(ws)
+    assert b"A\0B," in data
+    assert parse_csv(data) == ws
+    assert parse_csv(data).entries == parse_json(emit_json(ws)).entries
+    typed = parse_csv(csv_doc("A\0B,Leak,5,5,5,x\0y,,,,,"))
+    document = {"entries": [{"component": "A\0B", "failure_mode": "Leak",
+                             "severity": 5, "occurrence": 5, "detection": 5,
+                             "effect": "x\0y"}]}
+    assert typed.entries == parse_json(json.dumps(document).encode()).entries
+
+
 def test_emit_json_keeps_non_ascii_readable():
     ws = Worksheet("µgrid", [FmeaEntry("Pump", "Seal leak",
                                        RatingTriple(1, 1, 1))])

@@ -65,6 +65,14 @@ def test_rejects_invalid_rating():
         simulate_occurrence(11, SimConfig(trials=10))
 
 
+def test_worksheet_rejects_invalid_occurrence():
+    # A hand-built entry skips the parsers' checks; True is not rating 1.
+    for bad in (0, 11, True):
+        ws = Worksheet("", [FmeaEntry("Pump", "Seal leak", RatingTriple(5, bad, 5))])
+        with pytest.raises(RatingRangeError):
+            simulate_worksheet(ws, SimConfig(trials=10))
+
+
 def test_zero_failures_maps_to_rating_one():
     # rating 1 is p = 1/1,500,000; 100 trials will essentially never hit it
     result = simulate_occurrence(1, SimConfig(trials=100, seed=0))
