@@ -1,7 +1,9 @@
 """Worksheet parsing and serialization (CSV and JSON).
 
 Both parsers collect every problem in the input and report them together
-as located errors, instead of stopping at the first. Narrative fields are
+as located errors, instead of stopping at the first. A row that is
+certainly valid is accepted by lookup (_accepted); any other row goes
+through _entry, the one builder that words problems. Narrative fields are
 lenient (may be empty); rating fields are strict (never coerced, never
 clamped). Serialization is deterministic: fixed field order, worksheet
 order preserved, line-feed newlines, no environment-dependent content.
@@ -16,13 +18,16 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from decimal import Decimal
+from operator import itemgetter
 from types import SimpleNamespace
 
-from .scales import rating_from_text
+from .scales import _RATINGS_BY_TEXT, RATING_MAX, RATING_MIN, rating_from_text
 from .worksheet import (
+    _LABELS_BY_TEXT,
     RATING_FIELDS,
     ClassLabel,
     FmeaEntry,
@@ -46,6 +51,12 @@ _PROBLEM_ORDER = (*_REQUIRED_FIELDS, *RATING_FIELDS, "declared_classification",
 # character, which lets NUL through as is. A lone surrogate: no text
 # decoded from UTF-8 holds one, and no UTF-8 output can.
 _NUL_STAND_IN = "\ud800"
+_COLUMN_SET = frozenset(CSV_COLUMNS)
+# What an absent JSON field reads as to _accepted: a missing narrative is
+# empty text; any other missing field sends the entry to _entry.
+_JSON_DEFAULTS = tuple("" if name in _NARRATIVE_FIELDS else None for name in CSV_COLUMNS)
+# The only way a lone surrogate gets into decoded JSON: a \uD800-\uDFFF escape.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
 @dataclass(frozen=True)
@@ -144,6 +155,35 @@ def _entry(record: dict[str, object], errors: list[ParseError], source_kind: str
     return entry
 
 
+def _accepted(component, failure_mode, severity, occurrence, detection, effect,
+              end_effect, cause, prevention_controls, detection_controls,
+              declared_classification) -> FmeaEntry | None:
+    """The entry made of these field values (in CSV_COLUMNS order) if they
+    are certainly valid, else None. It never decides or words a problem:
+    whatever it turns down goes to _entry, which does. The caller rules out
+    lone surrogates in the text."""
+    if not (type(component) is type(failure_mode) is type(effect) is type(end_effect)
+            is type(cause) is type(prevention_controls) is type(detection_controls)
+            is str and component.strip()
+            and type(severity) is type(occurrence) is type(detection) is int
+            and RATING_MIN <= severity <= RATING_MAX
+            and RATING_MIN <= occurrence <= RATING_MAX
+            and RATING_MIN <= detection <= RATING_MAX):
+        return None
+    label = None
+    if declared_classification is not None:
+        if type(declared_classification) is not str:
+            return None
+        text = declared_classification.strip()
+        if text:  # blank text declares no class
+            label = _LABELS_BY_TEXT.get(text.lower())
+            if label is None:
+                return None
+    return FmeaEntry(component, failure_mode, RatingTriple(severity, occurrence, detection),
+                     effect, end_effect, cause, prevention_controls, detection_controls,
+                     label)
+
+
 def _check_duplicates(keyed: list[tuple[tuple[str, str], int]],
                       source_kind: str, errors: list[ParseError]) -> None:
     # One error per duplicated (component, failure_mode) key, listing all
@@ -193,6 +233,10 @@ def parse_csv(data: bytes) -> Worksheet:
     if errors:
         raise ParseFailure(errors)
 
+    # Decoded UTF-8 holds no lone surrogate, so every cell is text _accepted
+    # may take; a rating it takes is spelt as a _RATINGS_BY_TEXT key.
+    pick = itemgetter(*map(header.index, CSV_COLUMNS))
+    rating = _RATINGS_BY_TEXT.get
     entries: list[FmeaEntry] = []
     keyed_rows: list[tuple[tuple[str, str], int]] = []
     for record_index, cells in enumerate(rows[1:], start=2):
@@ -201,12 +245,16 @@ def parse_csv(data: bytes) -> Worksheet:
                 "csv", f"expected {len(header)} fields, got {len(cells)}",
                 row=record_index))
             continue
-        record: dict[str, object] = dict(zip(header, cells))
-        for name in RATING_FIELDS:
-            value = rating_from_text(record[name])
-            if value is not None:
-                record[name] = value
-        entry = _entry(record, errors, "csv", record_index, "")
+        component, failure_mode, s, o, d, *narratives, declared = pick(cells)
+        entry = _accepted(component, failure_mode, rating(s), rating(o), rating(d),
+                          *narratives, declared)
+        if entry is None:
+            record: dict[str, object] = dict(zip(header, cells))
+            for name in RATING_FIELDS:
+                value = rating_from_text(record[name])
+                if value is not None:
+                    record[name] = value
+            entry = _entry(record, errors, "csv", record_index, "")
         keyed_rows.append(((entry.component, entry.failure_mode), record_index))
         entries.append(entry)
 
@@ -263,17 +311,24 @@ def parse_json(data: bytes) -> Worksheet:
         errors.append(ParseError("json", "must be an array", column="entries"))
         raise ParseFailure(errors)
 
+    lone_surrogates_possible = _SURROGATE_ESCAPE.search(text) is not None
     entries: list[FmeaEntry] = []
     keyed: list[tuple[tuple[str, str], int]] = []
     for index, item in enumerate(raw_entries):
-        path = f"entries[{index}]"
-        if not isinstance(item, dict):
-            errors.append(ParseError("json", "entry must be an object", column=path))
-            continue
-        for name in item:
-            if name not in CSV_COLUMNS:
-                errors.append(ParseError("json", "unknown field", column=f"{path}.{name}"))
-        entry = _entry(item, errors, "json", None, f"{path}.")
+        entry = None
+        if not lone_surrogates_possible and type(item) is dict \
+                and item.keys() <= _COLUMN_SET:
+            entry = _accepted(*map(item.get, CSV_COLUMNS, _JSON_DEFAULTS))
+        if entry is None:
+            path = f"entries[{index}]"
+            if not isinstance(item, dict):
+                errors.append(ParseError("json", "entry must be an object", column=path))
+                continue
+            for name in item:
+                if name not in CSV_COLUMNS:
+                    errors.append(ParseError("json", "unknown field",
+                                             column=f"{path}.{name}"))
+            entry = _entry(item, errors, "json", None, f"{path}.")
         keyed.append(((entry.component, entry.failure_mode), index))
         entries.append(entry)
 

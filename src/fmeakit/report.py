@@ -50,7 +50,9 @@ def _label(value: ClassLabel | None) -> str:
 
 
 def _md_cell(text: str) -> str:
-    return text.replace("|", "\\|").replace("\r\n", " ").replace("\n", " ")
+    # CommonMark ends a line at LF, CRLF and a bare CR alike.
+    return text.replace("|", "\\|").replace("\r\n", " ").replace("\n", " ") \
+        .replace("\r", " ")
 
 
 def _md_table(headers: Sequence[str], rows: Iterable[Sequence[str]]) -> str:

@@ -14,7 +14,7 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fmeakit import CSV_COLUMNS
+from fmeakit import CSV_COLUMNS, FmeaEntry, RatingTriple, Worksheet, emit_csv
 from fmeakit.cli import run
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -120,6 +120,18 @@ def test_analyze_markdown_default(fixture_csv, capsys):
     out = capsys.readouterr().out
     assert out.startswith("# FMEA analysis\n")
     assert "## Collisions" in out
+
+
+def test_analyze_markdown_keeps_a_bare_cr_inside_its_row(tmp_path, capsys):
+    # CommonMark ends a line at a bare CR too, so a cell holding one must
+    # not split its table row. The CSV writer quotes such a cell.
+    ws = Worksheet("", [FmeaEntry("Pump\rA", "Seal\rleak", RatingTriple(5, 5, 5))])
+    sheet = tmp_path / "cr.csv"
+    sheet.write_bytes(emit_csv(ws))
+    assert run(["analyze", str(sheet)]) == 0
+    out = capsys.readouterr().out
+    assert "\r" not in out
+    assert "| 1 | Pump A | Seal leak |" in out
 
 
 def test_analyze_custom_bands(fixture_csv, capsys):

@@ -209,6 +209,18 @@ def test_parse_json_rating_type_strictness():
         assert info.value.errors[0].column == "entries[0].severity"
 
 
+def test_parse_json_rating_type_strictness_on_every_rating_field():
+    # Each of these equals a rating as a dict key (True == 1, 10.0 == 10),
+    # so a lookup must never stand in for the type check.
+    for field in ("severity", "occurrence", "detection"):
+        for bad in (True, False, 1.0, 10.0):
+            with pytest.raises(ParseFailure) as info:
+                parse_json(json_doc(**{field: bad}))
+            assert errors_of(info) == [
+                (None, f"entries[0].{field}",
+                 f"must be an integer in [1, 10], got {bad!r}")]
+
+
 def test_parse_json_requires_component_and_failure_mode():
     doc = json.dumps({"title": "", "entries": [{"severity": 5, "occurrence": 5,
                                                 "detection": 5}]}).encode()

@@ -27,8 +27,16 @@ from fmeakit import (
     risk_matrix,
     rpn,
 )
-from fmeakit.ingest import csv_text
-from fmeakit.scales import rating_from_text
+from fmeakit.ingest import (
+    _COLUMN_SET,
+    _JSON_DEFAULTS,
+    _SURROGATE_ESCAPE,
+    ParseError,
+    _accepted,
+    _entry,
+    csv_text,
+)
+from fmeakit.scales import _RATINGS_BY_TEXT, rating_from_text
 from fmeakit.worksheet import RATING_FIELDS
 
 ratings = st.integers(1, 10)
@@ -148,6 +156,97 @@ def test_csv_and_json_agree_on_a_row(row):
     document = json.dumps({"title": "", "entries": [record]})
     assert _parse_outcome(parse_csv, text.encode("utf-8")) \
         == _parse_outcome(parse_json, document.encode("utf-8"))
+
+
+# The fast acceptor in both parsers must agree with _entry, the one builder
+# that words problems: same entry, or the same error lines in the same order.
+# Each row or object starts valid and has up to three fields replaced.
+_VALID_CELLS = {
+    "component": component_names,
+    "declared_classification": st.sampled_from(
+        ["", " ", "Critical", " marginal ", "NEGLIGIBLE"]),
+    **{name: st.sampled_from([str(v) for v in range(1, 11)]) for name in RATING_FIELDS},
+}
+csv_cells = cells | st.sampled_from(["05", "010", " critical", "\t", " \n ", "\x1c",
+                                     "\u3000"])
+json_values = st.one_of(
+    st.sampled_from([True, False, 1.0, 10.0, 0, 11, None, "5", "", " ", "\ud800",
+                     "a\udfffb", "\U0001f600", " critical", "Bogus", [], {}]),
+    st.integers(-2, 12),
+    st.text(max_size=10),
+)
+_MISSING = object()
+
+
+def _mutated(draw, valid, replacement, extra_keys=()):
+    # Field name -> value, from *valid*; up to three fields are replaced by
+    # *replacement*, or dropped (_MISSING), or added from *extra_keys*.
+    record = {name: draw(valid.get(name, narrative)) for name in CSV_COLUMNS}
+    for name in draw(st.lists(st.sampled_from((*CSV_COLUMNS, *extra_keys)), max_size=3)):
+        record[name] = draw(replacement)
+    return {k: v for k, v in record.items() if v is not _MISSING}
+
+
+@st.composite
+def csv_rows(draw):
+    return list(_mutated(draw, _VALID_CELLS, csv_cells).values())
+
+
+@st.composite
+def json_objects(draw):
+    valid = {**_VALID_CELLS, **{name: ratings for name in RATING_FIELDS}}
+    record = _mutated(draw, valid, json_values | st.just(_MISSING), ("notes", "Severity"))
+    if draw(st.booleans()):  # a narrative or the class left out
+        record.pop(draw(st.sampled_from(CSV_COLUMNS[5:])), None)
+    return record
+
+
+def _outcome_lines(errors, entry):
+    return [str(e) for e in errors] if errors else entry
+
+
+def _parsed(parse, data):
+    try:
+        return parse(data).entries[0]
+    except ParseFailure as exc:
+        return [str(e) for e in exc.errors]
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_rows())
+def test_csv_fast_path_agrees_with_entry(row):
+    record = dict(zip(CSV_COLUMNS, row))
+    for name in RATING_FIELDS:
+        if rating_from_text(record[name]) is not None:
+            record[name] = rating_from_text(record[name])
+    errors = []
+    expected = _outcome_lines(errors, _entry(record, errors, "csv", 2, ""))
+    assert _parsed(parse_csv, csv_text([CSV_COLUMNS, row]).encode("utf-8")) == expected
+    component, failure_mode, s, o, d, *rest = row
+    accepted = _accepted(component, failure_mode, *map(_RATINGS_BY_TEXT.get, (s, o, d)),
+                         *rest)
+    if accepted is not None:
+        assert expected == accepted
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_objects(), st.booleans())
+def test_json_fast_path_agrees_with_entry(item, ascii_only):
+    document = {"title": "", "entries": [item]}
+    try:
+        data = json.dumps(document, ensure_ascii=ascii_only).encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate can only be written escaped
+        data = json.dumps(document).encode("utf-8")
+    item = json.loads(data)["entries"][0]
+    errors = [ParseError("json", "unknown field", column=f"entries[0].{name}")
+              for name in item if name not in CSV_COLUMNS]
+    expected = _outcome_lines(errors, _entry(item, errors, "json", None, "entries[0]."))
+    assert _parsed(parse_json, data) == expected
+    if _SURROGATE_ESCAPE.search(data.decode("utf-8")) is None \
+            and item.keys() <= _COLUMN_SET:
+        accepted = _accepted(*map(item.get, CSV_COLUMNS, _JSON_DEFAULTS))
+        if accepted is not None:
+            assert expected == accepted
 
 
 @given(st.floats(min_value=1e-12, max_value=1.0, allow_nan=False))
