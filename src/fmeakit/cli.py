@@ -52,6 +52,8 @@ class _InputError(Exception):
 
 def _read_bytes(path: str) -> bytes:
     if path == "-":
+        if sys.stdin is None:  # the process started with fd 0 closed
+            raise _InputError(["error: cannot read -: standard input is closed"])
         return sys.stdin.buffer.read()
     try:
         with open(path, "rb") as handle:
@@ -218,6 +220,8 @@ def run(argv: list[str] | None = None) -> int:
         payload = args.handler(args)
         if isinstance(payload, str):
             payload = payload.encode("utf-8")
+        if sys.stdout is None:  # the process started with fd 1 closed
+            return 1
         sys.stdout.buffer.write(payload)
         sys.stdout.buffer.flush()
         return 0

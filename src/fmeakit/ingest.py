@@ -1,9 +1,9 @@
 """Worksheet parsing and serialization (CSV and JSON).
 
 Both parsers collect every problem in the input and report them together
-as located errors, instead of stopping at the first. A row that is
-certainly valid is accepted by lookup (_accepted); any other row goes
-through _entry, the one builder that words problems. Narrative fields are
+as located errors, instead of stopping at the first. Every row becomes an
+entry through _entry, which accepts a certainly valid row by lookup and
+words every problem of any other. Narrative fields are
 lenient (may be empty); rating fields are strict (never coerced, never
 clamped). Serialization is deterministic: fixed field order, worksheet
 order preserved, line-feed newlines, no environment-dependent content.
@@ -52,9 +52,11 @@ _PROBLEM_ORDER = (*_REQUIRED_FIELDS, *RATING_FIELDS, "declared_classification",
 # decoded from UTF-8 holds one, and no UTF-8 output can.
 _NUL_STAND_IN = "\ud800"
 _COLUMN_SET = frozenset(CSV_COLUMNS)
-# What an absent JSON field reads as to _accepted: a missing narrative is
-# empty text; any other missing field sends the entry to _entry.
+# What an absent JSON field reads as: a missing narrative is empty text.
 _JSON_DEFAULTS = tuple("" if name in _NARRATIVE_FIELDS else None for name in CSV_COLUMNS)
+# Declared-class text, stripped and lowercased -> its label; blank declares none.
+_CLASS_BY_TEXT = {"": None, **_LABELS_BY_TEXT}
+_MISS = object()
 # The only way a lone surrogate gets into decoded JSON: a \uD800-\uDFFF escape.
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
@@ -111,17 +113,40 @@ def _unicode_problem(text: str) -> str | None:
     return None
 
 
-def _entry(record: dict[str, object], errors: list[ParseError], source_kind: str,
-           row: int | None, prefix: str) -> FmeaEntry:
-    """Build an entry from one field->value record, appending its problems
-    to *errors*, one per field, located by *row* and *prefix* + field."""
+def _entry(values: Iterable[object], errors: list[ParseError], source_kind: str,
+           row: int | None, prefix: str, clean_text: bool = True) -> FmeaEntry:
+    """Build an entry from one row's eleven values, in CSV_COLUMNS order.
+
+    Certainly valid values (str text with a component that is not blank,
+    int ratings in 1-10, a class that is None, blank or a label) make the
+    entry at once if *clean_text* says the caller ruled out lone surrogates.
+    Any other values have every problem appended to *errors*, one per
+    field, located by *row* and *prefix* + field name.
+    """
+    values = tuple(values)
+    (component, failure_mode, severity, occurrence, detection, effect, end_effect, cause,
+     prevention_controls, detection_controls, declared) = values
+    if clean_text and type(component) is type(failure_mode) is type(effect) \
+            is type(end_effect) is type(cause) is type(prevention_controls) \
+            is type(detection_controls) is str and component.strip() \
+            and type(severity) is type(occurrence) is type(detection) is int \
+            and RATING_MIN <= severity <= RATING_MAX \
+            and RATING_MIN <= occurrence <= RATING_MAX \
+            and RATING_MIN <= detection <= RATING_MAX:
+        label = (None if declared is None
+                 else _CLASS_BY_TEXT.get(declared.strip().lower(), _MISS)
+                 if type(declared) is str else _MISS)
+        if label is not _MISS:
+            return FmeaEntry(component, failure_mode,
+                             RatingTriple(severity, occurrence, detection), effect,
+                             end_effect, cause, prevention_controls,
+                             detection_controls, label)
+
+    record = dict(zip(CSV_COLUMNS, values))
     problems: dict[str, str] = {}
     text: dict[str, str] = {}
     for name in _TEXT_FIELDS:
-        value = record.get(name)
-        if type(value) is str and value.isascii():
-            text[name] = value
-            continue
+        value = record[name]
         text[name] = ""
         if value is None:
             if name in _REQUIRED_FIELDS:
@@ -133,55 +158,24 @@ def _entry(record: dict[str, object], errors: list[ParseError], source_kind: str
         else:
             text[name] = value
 
-    declared = None
-    raw_class = record.get("declared_classification")
-    if isinstance(raw_class, str):
-        if raw_class.strip():  # blank text declares no class
+    label = None
+    if isinstance(declared, str):
+        if declared.strip():  # blank text declares no class
             try:
-                declared = ClassLabel.from_text(raw_class)
+                label = ClassLabel.from_text(declared)
             except ValueError as exc:
                 problems["declared_classification"] = str(exc)
-    elif raw_class is not None:
+    elif declared is not None:
         problems["declared_classification"] = \
-            f"must be a string or null, got {raw_class!r}"
+            f"must be a string or null, got {declared!r}"
 
-    entry = FmeaEntry(triple=RatingTriple(*map(record.get, RATING_FIELDS)),
-                      declared_classification=declared, **text)
+    entry = FmeaEntry(triple=RatingTriple(severity, occurrence, detection),
+                      declared_classification=label, **text)
     for violation in validate_entry(entry):
         problems.setdefault(violation.field, violation.message)
-    if problems:
-        for name in sorted(problems, key=_PROBLEM_ORDER.index):
-            errors.append(ParseError(source_kind, problems[name], row, prefix + name))
+    for name in sorted(problems, key=_PROBLEM_ORDER.index):
+        errors.append(ParseError(source_kind, problems[name], row, prefix + name))
     return entry
-
-
-def _accepted(component, failure_mode, severity, occurrence, detection, effect,
-              end_effect, cause, prevention_controls, detection_controls,
-              declared_classification) -> FmeaEntry | None:
-    """The entry made of these field values (in CSV_COLUMNS order) if they
-    are certainly valid, else None. It never decides or words a problem:
-    whatever it turns down goes to _entry, which does. The caller rules out
-    lone surrogates in the text."""
-    if not (type(component) is type(failure_mode) is type(effect) is type(end_effect)
-            is type(cause) is type(prevention_controls) is type(detection_controls)
-            is str and component.strip()
-            and type(severity) is type(occurrence) is type(detection) is int
-            and RATING_MIN <= severity <= RATING_MAX
-            and RATING_MIN <= occurrence <= RATING_MAX
-            and RATING_MIN <= detection <= RATING_MAX):
-        return None
-    label = None
-    if declared_classification is not None:
-        if type(declared_classification) is not str:
-            return None
-        text = declared_classification.strip()
-        if text:  # blank text declares no class
-            label = _LABELS_BY_TEXT.get(text.lower())
-            if label is None:
-                return None
-    return FmeaEntry(component, failure_mode, RatingTriple(severity, occurrence, detection),
-                     effect, end_effect, cause, prevention_controls, detection_controls,
-                     label)
 
 
 def _check_duplicates(keyed: list[tuple[tuple[str, str], int]],
@@ -233,8 +227,9 @@ def parse_csv(data: bytes) -> Worksheet:
     if errors:
         raise ParseFailure(errors)
 
-    # Decoded UTF-8 holds no lone surrogate, so every cell is text _accepted
-    # may take; a rating it takes is spelt as a _RATINGS_BY_TEXT key.
+    # Decoded UTF-8 holds no lone surrogate, so every cell is clean text. A
+    # rating cell is looked up as spelt ("05" misses), else read by
+    # rating_from_text, else left as text for _entry to reject.
     pick = itemgetter(*map(header.index, CSV_COLUMNS))
     rating = _RATINGS_BY_TEXT.get
     entries: list[FmeaEntry] = []
@@ -245,16 +240,11 @@ def parse_csv(data: bytes) -> Worksheet:
                 "csv", f"expected {len(header)} fields, got {len(cells)}",
                 row=record_index))
             continue
-        component, failure_mode, s, o, d, *narratives, declared = pick(cells)
-        entry = _accepted(component, failure_mode, rating(s), rating(o), rating(d),
-                          *narratives, declared)
-        if entry is None:
-            record: dict[str, object] = dict(zip(header, cells))
-            for name in RATING_FIELDS:
-                value = rating_from_text(record[name])
-                if value is not None:
-                    record[name] = value
-            entry = _entry(record, errors, "csv", record_index, "")
+        component, failure_mode, s, o, d, *rest = pick(cells)
+        entry = _entry((component, failure_mode, rating(s) or rating_from_text(s) or s,
+                        rating(o) or rating_from_text(o) or o,
+                        rating(d) or rating_from_text(d) or d, *rest),
+                       errors, "csv", record_index, "")
         keyed_rows.append(((entry.component, entry.failure_mode), record_index))
         entries.append(entry)
 
@@ -311,24 +301,19 @@ def parse_json(data: bytes) -> Worksheet:
         errors.append(ParseError("json", "must be an array", column="entries"))
         raise ParseFailure(errors)
 
-    lone_surrogates_possible = _SURROGATE_ESCAPE.search(text) is not None
+    clean_text = _SURROGATE_ESCAPE.search(text) is None
     entries: list[FmeaEntry] = []
     keyed: list[tuple[tuple[str, str], int]] = []
     for index, item in enumerate(raw_entries):
-        entry = None
-        if not lone_surrogates_possible and type(item) is dict \
-                and item.keys() <= _COLUMN_SET:
-            entry = _accepted(*map(item.get, CSV_COLUMNS, _JSON_DEFAULTS))
-        if entry is None:
-            path = f"entries[{index}]"
-            if not isinstance(item, dict):
-                errors.append(ParseError("json", "entry must be an object", column=path))
-                continue
-            for name in item:
-                if name not in CSV_COLUMNS:
-                    errors.append(ParseError("json", "unknown field",
-                                             column=f"{path}.{name}"))
-            entry = _entry(item, errors, "json", None, f"{path}.")
+        path = f"entries[{index}]"
+        if not isinstance(item, dict):
+            errors.append(ParseError("json", "entry must be an object", column=path))
+            continue
+        if not item.keys() <= _COLUMN_SET:
+            errors.extend(ParseError("json", "unknown field", column=f"{path}.{name}")
+                          for name in item if name not in _COLUMN_SET)
+        entry = _entry(map(item.get, CSV_COLUMNS, _JSON_DEFAULTS), errors, "json", None,
+                       f"{path}.", clean_text)
         keyed.append(((entry.component, entry.failure_mode), index))
         entries.append(entry)
 
@@ -338,21 +323,13 @@ def parse_json(data: bytes) -> Worksheet:
     return Worksheet(title=title, entries=entries)
 
 
-def _entry_record(entry: FmeaEntry) -> dict[str, object]:
-    declared = entry.declared_classification
-    return {
-        "component": entry.component,
-        "failure_mode": entry.failure_mode,
-        "severity": entry.triple.severity,
-        "occurrence": entry.triple.occurrence,
-        "detection": entry.triple.detection,
-        "effect": entry.effect,
-        "end_effect": entry.end_effect,
-        "cause": entry.cause,
-        "prevention_controls": entry.prevention_controls,
-        "detection_controls": entry.detection_controls,
-        "declared_classification": None if declared is None else declared.value,
-    }
+def _values(entry: FmeaEntry) -> tuple[object, ...]:
+    """An entry's eleven values in CSV_COLUMNS order; no class reads None."""
+    triple, declared = entry.triple, entry.declared_classification
+    return (entry.component, entry.failure_mode, triple.severity, triple.occurrence,
+            triple.detection, entry.effect, entry.end_effect, entry.cause,
+            entry.prevention_controls, entry.detection_controls,
+            None if declared is None else declared.value)
 
 
 def emit_json(ws: Worksheet) -> bytes:
@@ -363,7 +340,7 @@ def emit_json(ws: Worksheet) -> bytes:
     """
     document = {
         "title": ws.title,
-        "entries": [_entry_record(e) for e in ws.entries],
+        "entries": [dict(zip(CSV_COLUMNS, _values(e))) for e in ws.entries],
     }
     return json_text(document).encode("utf-8")
 
@@ -390,9 +367,6 @@ def csv_text(rows: Iterable[Sequence[object]]) -> str:
 
 def emit_csv(ws: Worksheet) -> bytes:
     """Serialize worksheet entries to deterministic CSV bytes (title is not
-    representable in CSV and is dropped)."""
-    rows = [CSV_COLUMNS]
-    for entry in ws.entries:
-        record = _entry_record(entry)
-        rows.append(["" if record[c] is None else record[c] for c in CSV_COLUMNS])
-    return csv_text(rows).encode("utf-8")
+    representable in CSV and is dropped; the csv writer spells None, a
+    missing class, as an empty cell)."""
+    return csv_text([CSV_COLUMNS, *map(_values, ws.entries)]).encode("utf-8")

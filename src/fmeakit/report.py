@@ -49,17 +49,28 @@ def _label(value: ClassLabel | None) -> str:
     return "-" if value is None else value.value
 
 
-def _md_cell(text: str) -> str:
-    # CommonMark ends a line at LF, CRLF and a bare CR alike.
-    return text.replace("|", "\\|").replace("\r\n", " ").replace("\n", " ") \
-        .replace("\r", " ")
+def _one_line(text: str) -> str:
+    # CommonMark ends a line at LF, CRLF and a bare CR alike: each becomes a space.
+    if "\n" in text or "\r" in text:
+        return text.replace("\r\n", " ").replace("\n", " ").replace("\r", " ")
+    return text
+
+
+def _md_lines(lines: list[str]) -> str:
+    """The lines as text, each ended by a line feed. A line break inside a
+    line, which only worksheet text can hold, becomes a space; the common
+    case costs one check of the whole text."""
+    text = "\n".join(lines) + "\n"
+    if "\r" in text or text.count("\n") > len(lines):
+        text = "\n".join(map(_one_line, lines)) + "\n"
+    return text
 
 
 def _md_table(headers: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
-    lines = ["| " + " | ".join(_md_cell(c) for c in row) + " |"
+    lines = ["| " + " | ".join(c.replace("|", "\\|") for c in row) + " |"
              for row in (headers, *rows)]
     lines.insert(1, "|" + "|".join(" --- " for _ in headers) + "|")
-    return "\n".join(lines) + "\n"
+    return _md_lines(lines)
 
 
 def _text_table(headers: tuple[str, ...], rows: list[tuple[str, ...]]) -> str:
@@ -134,7 +145,7 @@ def render_fmea_report(ws: Worksheet, results: list[RpnResult]) -> str:
         lines.append(f"- Detection controls: {entry.detection_controls or '-'}")
         lines.append(f"- Detection (D): {entry.triple.detection}")
         lines.append(f"- RPN: {result.rpn}")
-    return "\n".join(lines) + "\n"
+    return _md_lines(lines)
 
 
 def render_matrix_text(matrix: RiskMatrix) -> str:
@@ -269,7 +280,7 @@ def render_analysis_markdown(ws: Worksheet, results: list[RpnResult],
     lines.append("")
     if groups:
         for group in groups:
-            names = "; ".join(ws.entries[i].component for i in group.members)
+            names = _one_line("; ".join(ws.entries[i].component for i in group.members))
             lines.append(f"- RPN {group.rpn} ({len(group.members)} entries): {names}")
     else:
         lines.append("(none)")
@@ -279,7 +290,7 @@ def render_analysis_markdown(ws: Worksheet, results: list[RpnResult],
     if flagged:
         for result in flagged:
             entry = ws.entries[result.entry_index]
-            lines.append(f"- {entry.component}: declared "
+            lines.append(f"- {_one_line(entry.component)}: declared "
                          f"{_label(result.declared_class)}, computed "
                          f"{result.computed_class.value} (RPN {result.rpn})")
     else:
@@ -378,7 +389,7 @@ def render_simulation_text(results: list[SimResult],
             "yes" if result.agrees else "no",
         )
         if components is not None:
-            row = (components[i],) + row
+            row = (_one_line(components[i]),) + row
         rows.append(row)
     if components is not None:
         headers = ("component",) + headers

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
 import os
@@ -11,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -369,3 +371,16 @@ def test_subprocess_analyze_rejects_lone_surrogate(tmp_path):
     assert proc.stdout == b""
     assert proc.stderr == (b"[json] field 'entries[0].component': must be valid "
                            b"Unicode, got lone surrogate '\\ud800' at character 1\n")
+
+
+@pytest.mark.parametrize(("fd", "command", "stderr"), [
+    (0, ["validate", "-"], b"error: cannot read -: standard input is closed\n"),
+    (1, ["scales"], b""),
+], ids=["stdin", "stdout"])
+def test_subprocess_closed_standard_stream_exits_1(fd, command, stderr):
+    # Python leaves sys.stdin or sys.stdout None when fd 0 or 1 starts closed.
+    proc = subprocess.run([sys.executable, "-m", "fmeakit", *command],
+                          capture_output=True, timeout=60,
+                          preexec_fn=functools.partial(os.close, fd))
+    assert proc.returncode == 1
+    assert proc.stderr == stderr

@@ -302,6 +302,16 @@ def test_json_round_trip_fixture(fixture_ws):
     assert parse_json(emit_json(fixture_ws)) == fixture_ws
 
 
+def test_escaped_surrogate_pair_sheet_parses_like_emit_json(fixture_ws):
+    # json.dumps escapes an emoji as a surrogate pair, which sends every
+    # entry of the document through the diagnosing path of the builder.
+    emoji = FmeaEntry("Pump \U0001f600", "Seal leak", RatingTriple(5, 5, 5))
+    ws = Worksheet(fixture_ws.title, [*fixture_ws.entries, emoji])
+    escaped = json.dumps(json.loads(emit_json(ws))).encode("utf-8")
+    assert b"\\ud83d\\ude00" in escaped
+    assert parse_json(escaped) == parse_json(emit_json(ws)) == ws
+
+
 def test_csv_round_trip_fixture(fixture_ws):
     # CSV carries no title, so the round trip lands on the same entries
     ws = parse_csv(emit_csv(fixture_ws))

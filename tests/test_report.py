@@ -5,8 +5,11 @@ from __future__ import annotations
 import csv
 import io
 
+import pytest
+
 from fmeakit import (
     DEFAULT_BANDS,
+    ClassLabel,
     FmeaEntry,
     MatrixAxes,
     RatingTriple,
@@ -224,6 +227,34 @@ def test_simulation_table(fixture_ws):
                                 "empirical_rate", "rating_out", "agrees"]
     assert len(lines) == 16
     assert lines[1].startswith("Database")
+
+
+@pytest.mark.parametrize("brk", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+def test_worksheet_text_stays_on_its_line(brk):
+    # CommonMark ends a line at LF, CRLF and a bare CR alike; headings,
+    # bullets and text-table rows show each as a space. CSV and JSON keep
+    # the text as it is.
+    ws = Worksheet(f"T{brk}U", [
+        FmeaEntry(f"Pump{brk}A", "Leak", RatingTriple(5, 5, 5), effect=f"e1{brk}e2",
+                  declared_classification=ClassLabel.CATASTROPHIC),
+        FmeaEntry(f"Pump{brk}B", "Leak", RatingTriple(5, 5, 5)),
+    ])
+    report = render_fmea_report(ws, rank(ws)).split("\n")
+    assert report[0] == "# FMEA report: T U"
+    assert {line for line in report if line.startswith("## ")} \
+        == {"## 1. Pump A", "## 2. Pump B"}
+    assert "- Effect: e1 e2" in report
+    analysis = render_analysis_markdown(*analysis_parts(ws)).split("\n")
+    assert "- RPN 125 (2 entries): Pump A; Pump B" in analysis
+    assert "- Pump A: declared Catastrophic, computed Marginal (RPN 125)" in analysis
+    table = render_simulation_text(simulate_worksheet(ws, SimConfig(trials=1000, seed=0)),
+                                   [e.component for e in ws.entries]).split("\n")
+    assert [line.split("  ")[0] for line in table[1:3]] == ["Pump A", "Pump B"]
+    for lines in (report, analysis, table):
+        assert not any("\r" in line for line in lines)
+    assert analysis_payload(*analysis_parts(ws))["collisions"][0]["components"] \
+        == [f"Pump{brk}A", f"Pump{brk}B"]
+    assert f'"Pump{brk}A;Pump{brk}B"' in render_analysis_csv(*analysis_parts(ws))
 
 
 def test_scales_csv_full_and_filtered():
