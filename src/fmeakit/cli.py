@@ -80,12 +80,12 @@ def _load(path: str) -> Worksheet:
 
 
 def _bands_type(text: str) -> ClassBands:
-    parts = text.split(",")
-    if len(parts) != 3:
+    try:  # fewer or more than three parts, or a part int() cannot read
+        b1, b2, b3 = map(int, text.split(","))
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(
-            f"expected three comma-separated integers, got {text!r}")
+            f"expected three comma-separated integers, got {text!r}") from exc
     try:
-        b1, b2, b3 = (int(p) for p in parts)
         return ClassBands(b1, b2, b3)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc

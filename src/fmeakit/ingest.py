@@ -22,6 +22,7 @@ import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from decimal import Decimal
+from json.encoder import encode_basestring
 from operator import itemgetter
 from types import SimpleNamespace
 
@@ -345,9 +346,54 @@ def emit_json(ws: Worksheet) -> bytes:
     return json_text(document).encode("utf-8")
 
 
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(value: float) -> str:
+    text = float.__repr__(value)
+    return _NONFINITE.get(text, text)
+
+
+# Scalar type -> its JSON spelling, as the json module spells it with
+# ensure_ascii=False (NaN and the infinities as JavaScript names them).
+_SPELLERS = {str: encode_basestring, int: int.__repr__, float: _float_text,
+             bool: ("false", "true").__getitem__, type(None): {None: "null"}.__getitem__}
+
+
+def _json(value: object, outer: str) -> str:
+    """value as indented JSON; *outer* is the line break and indent before
+    its closing bracket. A scalar part is spelt in place, not by a call."""
+    kind = type(value)
+    if kind in _SPELLERS:
+        return _SPELLERS[kind](value)
+    if kind is not dict and kind is not list and kind is not tuple:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    if not value:
+        return "{}" if kind is dict else "[]"
+    inner = outer + "  "
+    spelling = _SPELLERS.get
+    if kind is dict:
+        parts = [f"{encode_basestring(key)}: "
+                 f"{spell(item) if (spell := spelling(type(item))) else _json(item, inner)}"
+                 for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(parts) + outer + "}"
+    parts = [spell(item) if (spell := spelling(type(item))) else _json(item, inner)
+             for item in value]
+    return "[" + inner + ("," + inner).join(parts) + outer + "]"
+
+
 def json_text(document: object) -> str:
-    """A JSON document as text: two-space indent, non-ASCII kept, one final LF."""
-    return json.dumps(document, indent=2, ensure_ascii=False) + "\n"
+    """A JSON document as text: two-space indent, non-ASCII kept, one final LF.
+
+    The same text as the json module writes with indent=2 and
+    ensure_ascii=False, plus a line feed. That module gives up its C
+    encoder when asked to indent; this writer walks only the containers in
+    Python and spells each scalar with the functions the json module uses.
+    Values must be of exactly these types: dict with str keys, list,
+    tuple, str, int, float, bool and None. Any other type, a subclass
+    included, raises TypeError.
+    """
+    return _json(document, "\n") + "\n"
 
 
 def csv_text(rows: Iterable[Sequence[object]]) -> str:

@@ -340,8 +340,13 @@ def render_analysis_csv(ws: Worksheet, results: list[RpnResult],
 def analysis_payload(ws: Worksheet, results: list[RpnResult],
                      groups: list[CollisionGroup], flagged: list[RpnResult],
                      summary: Summary, bands: ClassBands) -> dict:
-    """Analysis as a JSON-serializable dict (the --format json contract)."""
+    """Analysis as a JSON-serializable dict (the --format json contract).
+
+    Each ranked record is built once: "results" and "discrepancies" share
+    the record dicts of the flagged entries.
+    """
     mean = summary.rpn_mean
+    records = {r.entry_index: _ranked_record(ws, r) for r in results}
     return {
         "bands": [bands.marginal_min, bands.critical_min, bands.catastrophic_min],
         "summary": {
@@ -356,7 +361,7 @@ def analysis_payload(ws: Worksheet, results: list[RpnResult],
                 label.value: summary.declared_class_counts[label]
                 for label in ClassLabel},
         },
-        "results": [_ranked_record(ws, r) for r in results],
+        "results": list(records.values()),
         "collisions": [
             {
                 "rpn": group.rpn,
@@ -365,7 +370,7 @@ def analysis_payload(ws: Worksheet, results: list[RpnResult],
             }
             for group in groups
         ],
-        "discrepancies": [_ranked_record(ws, r) for r in flagged],
+        "discrepancies": [records[r.entry_index] for r in flagged],
     }
 
 

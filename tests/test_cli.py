@@ -142,11 +142,20 @@ def test_analyze_custom_bands(fixture_csv, capsys):
 
 
 def test_analyze_rejects_bad_bands(fixture_csv, capsys):
-    for bad in ("500,200,100", "100,200", "a,b,c", "100,200,2000"):
+    for bad in ("500,200,100", "100,200,2000"):
         assert run(["analyze", str(fixture_csv), "--bands", bad]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err != ""
+        assert "band cut points must satisfy" in captured.err
+    # A part int() cannot read, even one past its digit limit, gets the
+    # project's own wording, not Python's.
+    for bad in ("100,200", "a,b,c", ",,", "100,200," + "9" * 5000, "100,200,300,400"):
+        assert run(["analyze", str(fixture_csv), "--bands", bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --bands: expected three comma-separated integers, " \
+               f"got {bad!r}\n" in captured.err
+        assert "int()" not in captured.err and "digits" not in captured.err
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

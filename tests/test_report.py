@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import random
 
 import pytest
 
@@ -215,6 +216,26 @@ def test_analysis_payload_shape(fixture_ws):
     assert payload["results"][0]["component"] == "Energy Management System (EMS)"
     assert [g["rpn"] for g in payload["collisions"]] == [210, 120]
     assert len(payload["discrepancies"]) == 7
+
+
+def _mixed_class_sheet(n: int, seed: int) -> Worksheet:
+    # Like perfbench/gen.py: unique pairs, uniform ratings, declared classes
+    # empty, canonical or in another case.
+    rng = random.Random(seed)
+    declared = ("", "", "Catastrophic", "Critical", "Marginal", "Negligible",
+                "critical", "MARGINAL")
+    return Worksheet("", [
+        FmeaEntry(f"Component {i}", "Failure", RatingTriple(*(rng.randint(1, 10) for _ in "sod")),
+                  declared_classification=ClassLabel.from_text(text) if text else None)
+        for i, text in enumerate(rng.choice(declared) for _ in range(n))])
+
+
+def test_analysis_payload_discrepancies_are_the_flagged_results(fixture_ws):
+    for ws in (fixture_ws, _mixed_class_sheet(500, 7)):
+        payload = analysis_payload(*analysis_parts(ws))
+        flagged = [r for r in payload["results"] if r["discrepancy"]]
+        assert flagged and payload["discrepancies"] == flagged
+        assert all(a is b for a, b in zip(payload["discrepancies"], flagged))
 
 
 def test_simulation_table(fixture_ws):
