@@ -11,15 +11,17 @@ computed from RPN.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .scales import RATING_MAX
+from .scales import RATING_MAX, RATING_MIN
 from .worksheet import ClassLabel, RatingTriple, Worksheet, repeated_keys
 
 RPN_MIN = 1
 RPN_MAX = 1000
+_SCALE = frozenset(range(RATING_MIN, RATING_MAX + 1))
 
 
 @dataclass(frozen=True)
@@ -148,32 +150,30 @@ def rank(ws: Worksheet, bands: ClassBands = DEFAULT_BANDS) -> list[RpnResult]:
     Equal RPNs are broken by severity, then occurrence, then detection
     (all descending), then component name ascending; remaining ties keep
     worksheet order. Severity leads the chain because it is the one factor
-    considered distinctive per failure mode.
+    considered distinctive per failure mode. A rating off the 1-10 scale,
+    which neither parser accepts, raises ValueError.
     """
-    order = sorted(
-        range(len(ws.entries)),
-        key=lambda i: (
-            -rpn(ws.entries[i].triple),
-            -ws.entries[i].triple.severity,
-            -ws.entries[i].triple.occurrence,
-            -ws.entries[i].triple.detection,
-            ws.entries[i].component,
-        ),
-    )
+    entries = ws.entries
+    triples = [entry.triple for entry in entries]
+    if not {t.severity for t in triples} | {t.occurrence for t in triples} \
+            | {t.detection for t in triples} <= _SCALE:
+        raise ValueError("rank needs every rating on the 1-10 scale")
+    values = list(map(rpn, triples))
+    # Stable sorts: by component ascending, then by (rpn, s, o, d) packed
+    # into one int (a rating fits four bits), descending; reverse=True
+    # keeps equal keys in order.
+    order = sorted(range(len(entries)), key=[e.component for e in entries].__getitem__)
+    keys = [value << 12 | t.severity << 8 | t.occurrence << 4 | t.detection
+            for value, t in zip(values, triples)]
+    order.sort(key=keys.__getitem__, reverse=True)
+    labels = [classify(value, bands) for value in range(RPN_MAX + 1)]
     results = []
     for position, index in enumerate(order, start=1):
-        entry = ws.entries[index]
-        value = rpn(entry.triple)
-        computed = classify(value, bands)
-        declared = entry.declared_classification
-        results.append(RpnResult(
-            entry_index=index,
-            rpn=value,
-            rank=position,
-            computed_class=computed,
-            declared_class=declared,
-            discrepancy=declared is not None and declared is not computed,
-        ))
+        value = values[index]
+        computed = labels[value]
+        declared = entries[index].declared_classification
+        results.append(RpnResult(index, value, position, computed, declared,
+                                 declared is not None and declared is not computed))
     return results
 
 
@@ -215,15 +215,12 @@ def risk_matrix(ws: Worksheet, axes: MatrixAxes) -> RiskMatrix:
 
 def summary_stats(ws: Worksheet, bands: ClassBands = DEFAULT_BANDS) -> Summary:
     """Aggregate RPN statistics and class tallies for a worksheet."""
+    values = [rpn(entry.triple) for entry in ws.entries]
     computed_counts = {label: 0 for label in ClassLabel}
-    declared_counts = {label: 0 for label in ClassLabel}
-    values = []
-    for entry in ws.entries:
-        value = rpn(entry.triple)
-        values.append(value)
-        computed_counts[classify(value, bands)] += 1
-        if entry.declared_classification is not None:
-            declared_counts[entry.declared_classification] += 1
+    for value, count in Counter(values).items():  # at most 120 distinct RPNs
+        computed_counts[classify(value, bands)] += count
+    declared = Counter(entry.declared_classification for entry in ws.entries)
+    declared_counts = {label: declared[label] for label in ClassLabel}
     if not values:
         return Summary(0, None, None, None, computed_counts, declared_counts)
     return Summary(

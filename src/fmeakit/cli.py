@@ -80,8 +80,11 @@ def _load(path: str) -> Worksheet:
 
 
 def _bands_type(text: str) -> ClassBands:
-    try:  # fewer or more than three parts, or a part int() cannot read
-        b1, b2, b3 = map(int, text.split(","))
+    parts = text.split(",")
+    try:  # not three parts, a part not ASCII digits, or one past int()'s limit
+        if not all(part.isascii() and part.isdigit() for part in parts):
+            raise ValueError(text)
+        b1, b2, b3 = map(int, parts)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"expected three comma-separated integers, got {text!r}") from exc

@@ -22,6 +22,7 @@ import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from decimal import Decimal
+from functools import cache
 from json.encoder import encode_basestring
 from operator import itemgetter
 from types import SimpleNamespace
@@ -60,6 +61,8 @@ _CLASS_BY_TEXT = {"": None, **_LABELS_BY_TEXT}
 _MISS = object()
 # The only way a lone surrogate gets into decoded JSON: a \uD800-\uDFFF escape.
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+# A valid row's ratings as a shared frozen triple: at most 1,000 exist.
+_triple = cache(RatingTriple)
 
 
 @dataclass(frozen=True)
@@ -139,7 +142,7 @@ def _entry(values: Iterable[object], errors: list[ParseError], source_kind: str,
                  if type(declared) is str else _MISS)
         if label is not _MISS:
             return FmeaEntry(component, failure_mode,
-                             RatingTriple(severity, occurrence, detection), effect,
+                             _triple(severity, occurrence, detection), effect,
                              end_effect, cause, prevention_controls,
                              detection_controls, label)
 
@@ -183,6 +186,8 @@ def _check_duplicates(keyed: list[tuple[tuple[str, str], int]],
                       source_kind: str, errors: list[ParseError]) -> None:
     # One error per duplicated (component, failure_mode) key, listing all
     # row/entry positions where it appears.
+    if len({key for key, _ in keyed}) == len(keyed):
+        return
     unit = "rows" if source_kind == "csv" else "entries"
     for (component, failure_mode), positions in repeated_keys(keyed):
         where = ", ".join(str(p) for p in positions)

@@ -9,8 +9,7 @@ tool, so any change to them is a contract change.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
-from operator import itemgetter
+from itertools import starmap
 
 from .analysis import (
     ClassBands,
@@ -42,11 +41,11 @@ _RANKED_FIELDS = (
 )
 _RANKED_KEYS = tuple(key for key, _ in _RANKED_FIELDS)
 _TABLE_FIELDS = tuple(field for field in _RANKED_FIELDS if field[1] is not None)
-_table_values = itemgetter(*(_RANKED_FIELDS.index(field) for field in _TABLE_FIELDS))
-
-
-def _label(value: ClassLabel | None) -> str:
-    return "-" if value is None else value.value
+_MD_ROW = "| " + " | ".join(["{}"] * len(_TABLE_FIELDS)) + " |"
+_MD_HEADER = (_MD_ROW.format(*(heading for _, heading in _TABLE_FIELDS)),
+              "|" + "|".join(" --- " for _ in _TABLE_FIELDS) + "|")
+# Each label's text, looked up without an Enum descriptor call per row.
+_LABEL_TEXT = {label: label.value for label in ClassLabel}
 
 
 def _one_line(text: str) -> str:
@@ -66,13 +65,6 @@ def _md_lines(lines: list[str]) -> str:
     return text
 
 
-def _md_table(headers: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
-    lines = ["| " + " | ".join(c.replace("|", "\\|") for c in row) + " |"
-             for row in (headers, *rows)]
-    lines.insert(1, "|" + "|".join(" --- " for _ in headers) + "|")
-    return _md_lines(lines)
-
-
 def _text_table(headers: tuple[str, ...], rows: list[tuple[str, ...]]) -> str:
     widths = [max(map(len, column)) for column in zip(headers, *rows)]
     fmt = "  ".join(f"{{:<{width}}}" for width in widths).format
@@ -83,12 +75,12 @@ def _ranked_values(ws: Worksheet, result: RpnResult) -> tuple:
     """One ranked row in _RANKED_FIELDS order, with its JSON values: None
     for a missing declared class, a boolean discrepancy flag."""
     entry = ws.entries[result.entry_index]
-    declared = result.declared_class
+    triple = entry.triple
     return (
         result.rank, result.entry_index, entry.component, entry.failure_mode,
-        entry.triple.severity, entry.triple.occurrence, entry.triple.detection,
-        result.rpn, result.computed_class.value,
-        None if declared is None else declared.value, result.discrepancy,
+        triple.severity, triple.occurrence, triple.detection, result.rpn,
+        _LABEL_TEXT[result.computed_class], _LABEL_TEXT.get(result.declared_class),
+        result.discrepancy,
     )
 
 
@@ -96,25 +88,36 @@ def _ranked_record(ws: Worksheet, result: RpnResult) -> dict[str, object]:
     return dict(zip(_RANKED_KEYS, _ranked_values(ws, result)))
 
 
-def _table_rows(results: list[RpnResult], ws: Worksheet, missing: str,
-                yes: str, no: str) -> list[list[str]]:
-    """Ranked rows as table cells, spelling None and the flag per table."""
-    return [[missing if value is None else yes if value is True
-             else no if value is False else str(value)
-             for value in _table_values(_ranked_values(ws, result))]
-            for result in results]
+def _table_rows(results: list[RpnResult], ws: Worksheet, bar: str, missing: str,
+                flags: tuple[str, str]) -> list[tuple]:
+    """Ranked rows as table cells in _TABLE_FIELDS order: numbers as ints,
+    "|" spelt *bar* in the two worksheet-text cells (no other cell can hold
+    one), a missing declared class as *missing*, the discrepancy flag as
+    flags[0] (no) or flags[1] (yes)."""
+    entries = ws.entries
+    labels = {None: missing, **_LABEL_TEXT}
+    rows = []
+    for result in results:
+        entry = entries[result.entry_index]
+        triple = entry.triple
+        rows.append((result.rank, entry.component.replace("|", bar),
+                     entry.failure_mode.replace("|", bar), triple.severity,
+                     triple.occurrence, triple.detection, result.rpn,
+                     labels[result.computed_class], labels[result.declared_class],
+                     flags[result.discrepancy]))
+    return rows
 
 
 def render_ranked(results: list[RpnResult], ws: Worksheet) -> str:
     """Render ranked results as a markdown table, rows in rank order."""
-    headings = tuple(heading for _, heading in _TABLE_FIELDS)
-    return _md_table(headings, _table_rows(results, ws, "-", "yes", "no"))
+    rows = _table_rows(results, ws, "\\|", "-", ("no", "yes"))
+    return _md_lines([*_MD_HEADER, *starmap(_MD_ROW.format, rows)])
 
 
 def render_ranked_csv(results: list[RpnResult], ws: Worksheet) -> str:
     """Render ranked results as CSV: machine-readable headers, an empty
     cell for a missing declared class, true/false for the flag."""
-    rows = _table_rows(results, ws, "", "true", "false")
+    rows = _table_rows(results, ws, "|", "", ("false", "true"))
     return csv_text([[key for key, _ in _TABLE_FIELDS], *rows])
 
 
@@ -291,8 +294,8 @@ def render_analysis_markdown(ws: Worksheet, results: list[RpnResult],
         for result in flagged:
             entry = ws.entries[result.entry_index]
             lines.append(f"- {_one_line(entry.component)}: declared "
-                         f"{_label(result.declared_class)}, computed "
-                         f"{result.computed_class.value} (RPN {result.rpn})")
+                         f"{_LABEL_TEXT.get(result.declared_class, '-')}, computed "
+                         f"{_LABEL_TEXT[result.computed_class]} (RPN {result.rpn})")
     else:
         lines.append("(none)")
     return "\n".join(lines) + "\n"
@@ -331,7 +334,8 @@ def render_analysis_csv(ws: Worksheet, results: list[RpnResult],
     for result in flagged:
         flagged_rows.append([
             result.rank, ws.entries[result.entry_index].component, result.rpn,
-            result.computed_class.value, _label(result.declared_class),
+            _LABEL_TEXT[result.computed_class],
+            _LABEL_TEXT.get(result.declared_class, "-"),
         ])
     out.append(csv_text(flagged_rows))
     return "\n".join(out)

@@ -126,6 +126,13 @@ def test_rank_empty_worksheet():
     assert rank(Worksheet("")) == []
 
 
+@pytest.mark.parametrize("bad", [(0, 5, 5), (5, 11, 5), (5, 5, 16), (-1, -1, 1)])
+def test_rank_refuses_a_rating_off_the_scale(bad):
+    # A hand-built worksheet can hold one; the parsers never accept it.
+    with pytest.raises(ValueError, match="1-10 scale"):
+        rank(make_ws((5, 5, 5), bad))
+
+
 def bruteforce_collisions(ws: Worksheet) -> dict[int, list[int]]:
     """All-pairs oracle: every index pair sharing an RPN value."""
     values = [rpn(e.triple) for e in ws.entries]

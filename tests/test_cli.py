@@ -147,9 +147,10 @@ def test_analyze_rejects_bad_bands(fixture_csv, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "band cut points must satisfy" in captured.err
-    # A part int() cannot read, even one past its digit limit, gets the
-    # project's own wording, not Python's.
-    for bad in ("100,200", "a,b,c", ",,", "100,200," + "9" * 5000, "100,200,300,400"):
+    # A part that is not ASCII digits, even one int() would read, and one
+    # past int()'s digit limit get the project's own wording, not Python's.
+    for bad in ("100,200", "a,b,c", ",,", "100,200," + "9" * 5000, "100,200,300,400",
+                " 1_00,200,500", "100 ,200,500", "+100,200,500", "\u0661\u0660\u0660,200,500"):
         assert run(["analyze", str(fixture_csv), "--bands", bad]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

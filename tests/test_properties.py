@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,8 @@ from fmeakit import (
     MatrixAxes,
     ParseFailure,
     RatingTriple,
+    RpnResult,
+    Summary,
     Worksheet,
     classify,
     collisions,
@@ -26,6 +29,7 @@ from fmeakit import (
     rating_from_rate,
     risk_matrix,
     rpn,
+    summary_stats,
 )
 from fmeakit.ingest import (
     _JSON_DEFAULTS,
@@ -100,6 +104,54 @@ def test_rank_is_a_total_permutation(ws):
     assert sorted(r.entry_index for r in results) == list(range(len(ws)))
     values = [r.rpn for r in results]
     assert values == sorted(values, reverse=True)
+
+
+# Sheets dense with ties: few ratings, few names ("a" after "Z" and "é"
+# after both in code point order), every failure mode distinct. Their
+# bands often cut at one of the sheets' RPNs or just above it.
+TIE_RATINGS = (2, 3, 4, 5, 6)
+TIE_CUTS = sorted({s * o * d + above for s in TIE_RATINGS for o in TIE_RATINGS
+                   for d in TIE_RATINGS for above in (0, 1)})
+tie_bands = st.lists(st.integers(2, 1000) | st.sampled_from(TIE_CUTS),
+                     min_size=3, max_size=3, unique=True,
+                     ).map(lambda cuts: ClassBands(*sorted(cuts)))
+tie_sheets = st.lists(
+    st.tuples(st.sampled_from(["A", "a", "B", "é", "Z"]), *[st.sampled_from(TIE_RATINGS)] * 3,
+              st.none() | st.sampled_from(list(ClassLabel))),
+    max_size=40,
+).map(lambda rows: Worksheet("", [
+    FmeaEntry(name, f"mode {i}", RatingTriple(s, o, d), declared_classification=declared)
+    for i, (name, s, o, d, declared) in enumerate(rows)]))
+
+
+@given(tie_sheets, tie_bands)
+def test_rank_and_summary_match_naive_oracle(ws, bands):
+    def product(i):
+        t = ws.entries[i].triple
+        return t.severity * t.occurrence * t.detection
+
+    order = sorted(range(len(ws)), key=lambda i: (
+        -product(i), -ws.entries[i].triple.severity, -ws.entries[i].triple.occurrence,
+        -ws.entries[i].triple.detection, ws.entries[i].component))
+    expected = []
+    for position, index in enumerate(order, start=1):
+        computed = classify(product(index), bands)
+        declared = ws.entries[index].declared_classification
+        expected.append(RpnResult(index, product(index), position, computed, declared,
+                                  declared is not None and declared is not computed))
+    assert rank(ws, bands) == expected
+
+    values = [product(i) for i in range(len(ws))]
+    assert summary_stats(ws, bands) == Summary(
+        entries=len(values),
+        rpn_min=min(values, default=None),
+        rpn_max=max(values, default=None),
+        rpn_mean=Fraction(sum(values), len(values)) if values else None,
+        computed_class_counts={label: sum(classify(v, bands) is label for v in values)
+                               for label in ClassLabel},
+        declared_class_counts={label: sum(e.declared_classification is label
+                                          for e in ws.entries) for label in ClassLabel},
+    )
 
 
 @given(worksheets)
