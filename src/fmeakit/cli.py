@@ -10,6 +10,8 @@ locale, so output is all-or-nothing.
 from __future__ import annotations
 
 import argparse
+import gc
+import os
 import sys
 
 from .analysis import (
@@ -34,6 +36,7 @@ from .report import (
     render_scales_csv,
     render_simulation_text,
 )
+from .scales import rating_from_text
 from .simulate import SimConfig, simulate_occurrence, simulate_worksheet
 from .worksheet import Worksheet
 
@@ -92,6 +95,14 @@ def _bands_type(text: str) -> ClassBands:
         return ClassBands(b1, b2, b3)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _rating_type(text: str) -> int:
+    rating = rating_from_text(text)  # ASCII digits only, as a CSV rating
+    if rating is None:
+        raise argparse.ArgumentTypeError(
+            f"expected a rating from 1 to 10 in ASCII digits, got {text!r}")
+    return rating
 
 
 def _cmd_validate(args: argparse.Namespace) -> str:
@@ -190,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="check occurrence ratings by Monte Carlo sampling")
     p.add_argument("file", nargs="?",
                    help="worksheet path; omit when using --rating")
-    p.add_argument("--rating", type=int, choices=range(1, 11), metavar="R",
+    p.add_argument("--rating", type=_rating_type, metavar="R",
                    help="simulate a single occurrence rating (1-10)")
     p.add_argument("--trials", type=int, default=1_000_000, metavar="N",
                    help="Bernoulli opportunities per entry (default 1000000)")
@@ -241,4 +252,20 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    """Run one command as the whole process, then end it at once.
+
+    The collector is off while the command runs, and os._exit skips
+    interpreter teardown, atexit handlers included: neither does anything
+    for a process that ends after one write. If a stream fails to flush,
+    the normal exit runs instead, so its teardown reports the failure as
+    it always did.
+    """
+    gc.disable()
+    code = run()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the fd started closed
+                stream.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)

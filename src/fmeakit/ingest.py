@@ -59,8 +59,13 @@ _JSON_DEFAULTS = tuple("" if name in _NARRATIVE_FIELDS else None for name in CSV
 # Declared-class text, stripped and lowercased -> its label; blank declares none.
 _CLASS_BY_TEXT = {"": None, **_LABELS_BY_TEXT}
 _MISS = object()
-# The only way a lone surrogate gets into decoded JSON: a \uD800-\uDFFF escape.
+# The only way a lone surrogate gets into decoded JSON: a \uD800-\uDFFF escape,
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+# and of those only a high one (D800-DBFF) not followed by a low one
+# (DC00-DFFF), or a low one not preceded by a high one.
+_LONE_SURROGATE_ESCAPE = re.compile(
+    r"\\u[dD](?:[89abAB][0-9a-fA-F]{2}(?!\\u[dD][c-fC-F])"
+    r"|[c-fC-F](?<!\\u[dD][89abAB][0-9a-fA-F]{2}\\u[dD][c-fC-F]))")
 # A valid row's ratings as a shared frozen triple: at most 1,000 exist.
 _triple = cache(RatingTriple)
 
@@ -115,6 +120,16 @@ def _unicode_problem(text: str) -> str | None:
         return (f"must be valid Unicode, got lone surrogate "
                 f"{text[exc.start]!r} at character {exc.start}")
     return None
+
+
+def _may_hold_lone_surrogate(text: str) -> bool:
+    """False only if no string in the JSON document *text* decodes to a
+    lone surrogate."""
+    if _SURROGATE_ESCAPE.search(text) is None:
+        return False
+    # Each escaped backslash, paired from the left, becomes two plain
+    # characters, so that every backslash left starts an escape.
+    return _LONE_SURROGATE_ESCAPE.search(text.replace("\\\\", "__")) is not None
 
 
 def _entry(values: Iterable[object], errors: list[ParseError], source_kind: str,
@@ -307,7 +322,7 @@ def parse_json(data: bytes) -> Worksheet:
         errors.append(ParseError("json", "must be an array", column="entries"))
         raise ParseFailure(errors)
 
-    clean_text = _SURROGATE_ESCAPE.search(text) is None
+    clean_text = not _may_hold_lone_surrogate(text)
     entries: list[FmeaEntry] = []
     keyed: list[tuple[tuple[str, str], int]] = []
     for index, item in enumerate(raw_entries):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import gc
 import io
 import json
 import os
@@ -239,6 +240,22 @@ def test_simulate_single_rating(capsys):
     assert lines[1].split()[0] == "5"
 
 
+@pytest.mark.parametrize("text", ["+5", "\uff15", " 5", "5_", "-5", "0", "11", "5.0", ""])
+def test_simulate_rating_is_never_coerced(text, capsys):
+    assert run(["simulate", "--rating", text, "--trials", "1000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("argument --rating: expected a rating from 1 to 10 "
+                                 f"in ASCII digits, got {text!r}\n")
+
+
+def test_simulate_rating_takes_leading_zeros_as_csv_does(capsys):
+    assert run(["simulate", "--rating", "05", "--trials", "1000"]) == 0
+    padded = capsys.readouterr()
+    assert run(["simulate", "--rating", "5", "--trials", "1000"]) == 0
+    assert capsys.readouterr() == padded
+
+
 def test_simulate_worksheet_table(fixture_csv, capsys):
     assert run(["simulate", str(fixture_csv), "--trials", "10000"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -394,3 +411,73 @@ def test_subprocess_closed_standard_stream_exits_1(fd, command, stderr):
                           preexec_fn=functools.partial(os.close, fd))
     assert proc.returncode == 1
     assert proc.stderr == stderr
+
+
+# Exit code and stderr of each command when stdout is a pipe whose reader
+# is closed, with stdout unbuffered and block-buffered. With a buffer, a
+# payload that fits in it first fails when the interpreter flushes stdout
+# at exit, which reports the error and exits 120. None: the code and stderr
+# of an open stdout, since such a command writes nothing to it.
+_FLUSH_AT_EXIT_FAILED = (b"Exception ignored in: <_io.TextIOWrapper name='<stdout>' "
+                         b"mode='w' encoding='utf-8'>\nBrokenPipeError: [Errno 32] "
+                         b"Broken pipe\n")
+_STREAM_CASES = {
+    "help": (["--help"], (0, b""), (120, _FLUSH_AT_EXIT_FAILED)),
+    "analyze-help": (["analyze", "--help"], (0, b""), (120, _FLUSH_AT_EXIT_FAILED)),
+    "scales": (["scales"], (1, b""), (120, _FLUSH_AT_EXIT_FAILED)),
+    "dataset": (["dataset"], (1, b""), (1, b"")),  # larger than a pipe's buffer
+    "analyze": (["analyze", "{sheet}"], (1, b""), (120, _FLUSH_AT_EXIT_FAILED)),
+    "missing-file": (["analyze", "{missing}"], None, None),
+    "no-file": (["analyze"], None, None),
+}
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("case", list(_STREAM_CASES))
+def test_subprocess_streams_match_in_process_run(case, unbuffered, fixture_csv, tmp_path,
+                                                 capsysbinary, monkeypatch):
+    # The process ends with os._exit, so a byte still in a stdout buffer
+    # would be lost; a regular file makes stdout block-buffered.
+    template, closed_unbuffered, closed_buffered = _STREAM_CASES[case]
+    argv = [part.format(sheet=fixture_csv, missing=tmp_path / "missing.csv")
+            for part in template]
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    code = run(argv)
+    captured = capsysbinary.readouterr()
+    env = {**os.environ, "COLUMNS": "80", "PYTHONIOENCODING": "utf-8"}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+
+    def child(stdout):
+        return subprocess.run([sys.executable, "-m", "fmeakit", *argv], stdout=stdout,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+
+    piped = child(subprocess.PIPE)
+    assert (piped.returncode, piped.stdout, piped.stderr) == \
+        (code, captured.out, captured.err)
+    out_file = tmp_path / "stdout"
+    with out_file.open("wb") as sink:
+        to_file = child(sink)
+    assert (to_file.returncode, out_file.read_bytes(), to_file.stderr) == \
+        (code, captured.out, captured.err)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        closed = child(write_end)
+    finally:
+        os.close(write_end)
+    expected = closed_unbuffered if unbuffered else closed_buffered
+    assert (closed.returncode, closed.stderr) == (expected or (code, captured.err))
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_leaves_the_collector_as_it_found_it(enabled, capsys):
+    # Only the console entry point, cli.main, switches the collector off.
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert run(["scales"]) == 0
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()

@@ -33,9 +33,10 @@ from fmeakit import (
 )
 from fmeakit.ingest import (
     _JSON_DEFAULTS,
-    _SURROGATE_ESCAPE,
     ParseError,
     _entry,
+    _may_hold_lone_surrogate,
+    _unicode_problem,
     csv_text,
 )
 from fmeakit.scales import rating_from_text
@@ -291,8 +292,32 @@ def test_json_fast_path_agrees_with_entry(item, ascii_only):
     values = [item.get(name, default) for name, default in zip(CSV_COLUMNS, _JSON_DEFAULTS)]
     expected = _built(values, False, "json", None, "entries[0].", unknown)
     assert _parsed(parse_json, data) == expected
-    if _SURROGATE_ESCAPE.search(data.decode("utf-8")) is None:  # as parse_json decides
+    if not _may_hold_lone_surrogate(data.decode("utf-8")):  # as parse_json decides
         assert _built(values, True, "json", None, "entries[0].", unknown) == expected
+
+
+# JSON string bodies spelt piece by piece: escaped backslashes, surrogate
+# escapes high and low in both cases, other escapes, and plain text that
+# reads as an escape's tail after an escaped backslash.
+_json_string_bodies = st.lists(st.sampled_from((
+    "\\\\", "\\ud83d", "\\uDBFF", "\\ude00", "\\uDC00", "\\udfff", "\\u00e9",
+    "\\n", '\\"', "u", "ud83d", "uDC00", "x", "\u00e9", "\U0001F600",
+)), max_size=8).map("".join)
+# Text holding lone surrogates, pairs and backslashes, for json.dumps to spell.
+_surrogate_texts = st.text(st.sampled_from("\ud83d\ude00\\uDx\U0001F600"), max_size=8)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.one_of(_json_string_bodies.map('"{}"'.format),
+                          _surrogate_texts.map(json.dumps)), min_size=1, max_size=3))
+def test_lone_surrogate_scan_misses_no_lone_surrogate(strings):
+    text = "[" + ", ".join(strings) + "]"
+    lone = any(_unicode_problem(value) is not None for value in json.loads(text))
+    if lone:
+        assert _may_hold_lone_surrogate(text), text
+    # A false positive would be safe, but on these documents there is none:
+    # an escaped emoji keeps a document on the fast path.
+    assert _may_hold_lone_surrogate(text) == lone, text
 
 
 @given(st.floats(min_value=1e-12, max_value=1.0, allow_nan=False))
