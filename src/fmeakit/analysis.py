@@ -16,12 +16,11 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .scales import RATING_MAX, RATING_MIN
-from .worksheet import ClassLabel, RatingTriple, Worksheet, repeated_keys
+from .scales import _RATINGS, RATING_MAX
+from .worksheet import ClassLabel, RatingTriple, Worksheet, _filled, repeated_keys
 
 RPN_MIN = 1
 RPN_MAX = 1000
-_SCALE = frozenset(range(RATING_MIN, RATING_MAX + 1))
 
 
 @dataclass(frozen=True)
@@ -60,6 +59,7 @@ class ClassBands:
 DEFAULT_BANDS = ClassBands(100, 200, 500)
 
 
+@_filled
 @dataclass(frozen=True)
 class RpnResult:
     """Computed risk of one entry: RPN, rank, and classification outcome."""
@@ -156,7 +156,7 @@ def rank(ws: Worksheet, bands: ClassBands = DEFAULT_BANDS) -> list[RpnResult]:
     entries = ws.entries
     triples = [entry.triple for entry in entries]
     if not {t.severity for t in triples} | {t.occurrence for t in triples} \
-            | {t.detection for t in triples} <= _SCALE:
+            | {t.detection for t in triples} <= _RATINGS:
         raise ValueError("rank needs every rating on the 1-10 scale")
     values = list(map(rpn, triples))
     # Stable sorts: by component ascending, then by (rpn, s, o, d) packed

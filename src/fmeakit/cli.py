@@ -256,16 +256,21 @@ def main() -> None:
 
     The collector is off while the command runs, and os._exit skips
     interpreter teardown, atexit handlers included: neither does anything
-    for a process that ends after one write. If a stream fails to flush,
-    the normal exit runs instead, so its teardown reports the failure as
-    it always did.
+    for a process that ends after one write. A stdout whose reader has
+    gone exits 1, as in run. If a stream fails to flush otherwise, the
+    normal exit runs instead, so its teardown reports the failure as it
+    always did.
     """
     gc.disable()
     code = run()
     try:
-        for stream in (sys.stdout, sys.stderr):
-            if stream is not None:  # None when the fd started closed
-                stream.flush()
+        if sys.stdout is not None:  # None when the fd started closed
+            try:
+                sys.stdout.flush()
+            except BrokenPipeError:
+                code = 1
+        if sys.stderr is not None:
+            sys.stderr.flush()
     except OSError:
         sys.exit(code)
     os._exit(code)

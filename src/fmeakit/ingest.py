@@ -1,12 +1,13 @@
 """Worksheet parsing and serialization (CSV and JSON).
 
 Both parsers collect every problem in the input and report them together
-as located errors, instead of stopping at the first. Every row becomes an
-entry through _entry, which accepts a certainly valid row by lookup and
-words every problem of any other. Narrative fields are
-lenient (may be empty); rating fields are strict (never coerced, never
-clamped). Serialization is deterministic: fixed field order, worksheet
-order preserved, line-feed newlines, no environment-dependent content.
+as located errors, instead of stopping at the first. A sheet whose rows
+are all certainly valid is accepted column by column by _accept, in
+whole-column passes; any other sheet goes row by row through _entry,
+which words every problem. Narrative fields are lenient (may be empty);
+rating fields are strict (never coerced, never clamped). Serialization
+is deterministic: fixed field order, worksheet order preserved,
+line-feed newlines, no environment-dependent content.
 
 CSV dialect: comma-separated, double-quote quoting with doubled-quote
 escaping, UTF-8, header row required, trailing newline optional. Row
@@ -23,11 +24,12 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import cache
+from itertools import chain, repeat
 from json.encoder import encode_basestring
 from operator import itemgetter
 from types import SimpleNamespace
 
-from .scales import _RATINGS_BY_TEXT, RATING_MAX, RATING_MIN, rating_from_text
+from .scales import _RATINGS, _RATINGS_BY_TEXT, rating_from_text
 from .worksheet import (
     _LABELS_BY_TEXT,
     RATING_FIELDS,
@@ -132,36 +134,43 @@ def _may_hold_lone_surrogate(text: str) -> bool:
     return _LONE_SURROGATE_ESCAPE.search(text.replace("\\\\", "__")) is not None
 
 
-def _entry(values: Iterable[object], errors: list[ParseError], source_kind: str,
-           row: int | None, prefix: str, clean_text: bool = True) -> FmeaEntry:
-    """Build an entry from one row's eleven values, in CSV_COLUMNS order.
+def _accept(columns: Sequence[Sequence[object]]) -> list[FmeaEntry] | None:
+    """Every row of a sheet, given as its eleven columns in CSV_COLUMNS
+    order, as an entry; None unless every row is certainly valid.
 
-    Certainly valid values (str text with a component that is not blank,
-    int ratings in 1-10, a class that is None, blank or a label) make the
-    entry at once if *clean_text* says the caller ruled out lone surrogates.
-    Any other values have every problem appended to *errors*, one per
-    field, located by *row* and *prefix* + field name.
+    Certainly valid: text cells are str and no component is blank, ratings
+    are int in 1-10, the class is None, blank or a label, and no
+    (component, failure_mode) key repeats. The caller has ruled out lone
+    surrogates. Each test is one pass over whole columns.
     """
-    values = tuple(values)
-    (component, failure_mode, severity, occurrence, detection, effect, end_effect, cause,
-     prevention_controls, detection_controls, declared) = values
-    if clean_text and type(component) is type(failure_mode) is type(effect) \
-            is type(end_effect) is type(cause) is type(prevention_controls) \
-            is type(detection_controls) is str and component.strip() \
-            and type(severity) is type(occurrence) is type(detection) is int \
-            and RATING_MIN <= severity <= RATING_MAX \
-            and RATING_MIN <= occurrence <= RATING_MAX \
-            and RATING_MIN <= detection <= RATING_MAX:
-        label = (None if declared is None
-                 else _CLASS_BY_TEXT.get(declared.strip().lower(), _MISS)
-                 if type(declared) is str else _MISS)
-        if label is not _MISS:
-            return FmeaEntry(component, failure_mode,
-                             _triple(severity, occurrence, detection), effect,
-                             end_effect, cause, prevention_controls,
-                             detection_controls, label)
+    components, failure_modes, severities, occurrences, detections, *narratives, \
+        declared = columns
+    if not (set(map(type, chain(components, failure_modes, *narratives))) <= {str}
+            and all(map(str.strip, components))
+            and set(map(type, chain(severities, occurrences, detections))) <= {int}
+            and set(chain(severities, occurrences, detections)) <= _RATINGS
+            and set(map(type, declared)) <= {str, type(None)}
+            and len(set(zip(components, failure_modes))) == len(components)):
+        return None
+    labels = {text: None if text is None
+              else _CLASS_BY_TEXT.get(text.strip().lower(), _MISS)
+              for text in set(declared)}
+    if _MISS in labels.values():
+        return None
+    return list(map(FmeaEntry, components, failure_modes,
+                    map(_triple, severities, occurrences, detections), *narratives,
+                    map(labels.__getitem__, declared)))
 
+
+def _entry(values: Iterable[object], errors: list[ParseError], source_kind: str,
+           row: int | None, prefix: str) -> FmeaEntry:
+    """Diagnose one row's eleven values, in CSV_COLUMNS order.
+
+    Every problem is appended to *errors*, one per field, located by *row*
+    and *prefix* + field name. The entry returned holds what is valid.
+    """
     record = dict(zip(CSV_COLUMNS, values))
+    declared = record["declared_classification"]
     problems: dict[str, str] = {}
     text: dict[str, str] = {}
     for name in _TEXT_FIELDS:
@@ -188,13 +197,23 @@ def _entry(values: Iterable[object], errors: list[ParseError], source_kind: str,
         problems["declared_classification"] = \
             f"must be a string or null, got {declared!r}"
 
-    entry = FmeaEntry(triple=RatingTriple(severity, occurrence, detection),
+    entry = FmeaEntry(triple=RatingTriple(*map(record.get, RATING_FIELDS)),
                       declared_classification=label, **text)
     for violation in validate_entry(entry):
         problems.setdefault(violation.field, violation.message)
     for name in sorted(problems, key=_PROBLEM_ORDER.index):
         errors.append(ParseError(source_kind, problems[name], row, prefix + name))
     return entry
+
+
+def _csv_ratings(cells: list[str]) -> list[int | str]:
+    """Rating cells as their ratings: each is looked up as spelt ("05"
+    misses), else read by rating_from_text, else left as text to reject."""
+    ratings = list(map(_RATINGS_BY_TEXT.get, cells))
+    if None in ratings:
+        ratings = [rating or rating_from_text(cell) or cell
+                   for rating, cell in zip(ratings, cells)]
+    return ratings
 
 
 def _check_duplicates(keyed: list[tuple[tuple[str, str], int]],
@@ -248,28 +267,30 @@ def parse_csv(data: bytes) -> Worksheet:
     if errors:
         raise ParseFailure(errors)
 
-    # Decoded UTF-8 holds no lone surrogate, so every cell is clean text. A
-    # rating cell is looked up as spelt ("05" misses), else read by
-    # rating_from_text, else left as text for _entry to reject.
-    pick = itemgetter(*map(header.index, CSV_COLUMNS))
-    rating = _RATINGS_BY_TEXT.get
-    entries: list[FmeaEntry] = []
-    keyed_rows: list[tuple[tuple[str, str], int]] = []
-    for record_index, cells in enumerate(rows[1:], start=2):
-        if len(cells) != len(header):
-            errors.append(ParseError(
-                "csv", f"expected {len(header)} fields, got {len(cells)}",
-                row=record_index))
-            continue
-        component, failure_mode, s, o, d, *rest = pick(cells)
-        entry = _entry((component, failure_mode, rating(s) or rating_from_text(s) or s,
-                        rating(o) or rating_from_text(o) or o,
-                        rating(d) or rating_from_text(d) or d, *rest),
-                       errors, "csv", record_index, "")
-        keyed_rows.append(((entry.component, entry.failure_mode), record_index))
-        entries.append(entry)
-
-    _check_duplicates(keyed_rows, "csv", errors)
+    # Decoded UTF-8 holds no lone surrogate, so every cell is clean text.
+    body = rows[1:]
+    positions = list(map(header.index, CSV_COLUMNS))
+    entries = None
+    if set(map(len, body)) <= {len(header)}:
+        columns = [list(map(itemgetter(i), body)) for i in positions]
+        columns[2:5] = map(_csv_ratings, columns[2:5])
+        entries = _accept(columns)
+    if entries is None:
+        pick = itemgetter(*positions)
+        entries = []
+        keyed_rows: list[tuple[tuple[str, str], int]] = []
+        for record_index, cells in enumerate(body, start=2):
+            if len(cells) != len(header):
+                errors.append(ParseError(
+                    "csv", f"expected {len(header)} fields, got {len(cells)}",
+                    row=record_index))
+                continue
+            values = list(pick(cells))
+            values[2:5] = _csv_ratings(values[2:5])
+            entry = _entry(values, errors, "csv", record_index, "")
+            keyed_rows.append(((entry.component, entry.failure_mode), record_index))
+            entries.append(entry)
+        _check_duplicates(keyed_rows, "csv", errors)
     if errors:
         raise ParseFailure(errors)
     return Worksheet(title="", entries=entries)
@@ -322,23 +343,27 @@ def parse_json(data: bytes) -> Worksheet:
         errors.append(ParseError("json", "must be an array", column="entries"))
         raise ParseFailure(errors)
 
-    clean_text = not _may_hold_lone_surrogate(text)
-    entries: list[FmeaEntry] = []
-    keyed: list[tuple[tuple[str, str], int]] = []
-    for index, item in enumerate(raw_entries):
-        path = f"entries[{index}]"
-        if not isinstance(item, dict):
-            errors.append(ParseError("json", "entry must be an object", column=path))
-            continue
-        if not item.keys() <= _COLUMN_SET:
+    entries = None
+    if set(map(type, raw_entries)) <= {dict} \
+            and set(chain.from_iterable(raw_entries)) <= _COLUMN_SET \
+            and not _may_hold_lone_surrogate(text):
+        entries = _accept([list(map(dict.get, raw_entries, repeat(name), repeat(default)))
+                           for name, default in zip(CSV_COLUMNS, _JSON_DEFAULTS)])
+    if entries is None:
+        entries = []
+        keyed: list[tuple[tuple[str, str], int]] = []
+        for index, item in enumerate(raw_entries):
+            path = f"entries[{index}]"
+            if not isinstance(item, dict):
+                errors.append(ParseError("json", "entry must be an object", column=path))
+                continue
             errors.extend(ParseError("json", "unknown field", column=f"{path}.{name}")
                           for name in item if name not in _COLUMN_SET)
-        entry = _entry(map(item.get, CSV_COLUMNS, _JSON_DEFAULTS), errors, "json", None,
-                       f"{path}.", clean_text)
-        keyed.append(((entry.component, entry.failure_mode), index))
-        entries.append(entry)
-
-    _check_duplicates(keyed, "json", errors)
+            entry = _entry(map(item.get, CSV_COLUMNS, _JSON_DEFAULTS), errors, "json",
+                           None, f"{path}.")
+            keyed.append(((entry.component, entry.failure_mode), index))
+            entries.append(entry)
+        _check_duplicates(keyed, "json", errors)
     if errors:
         raise ParseFailure(errors)
     return Worksheet(title=title, entries=entries)

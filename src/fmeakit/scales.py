@@ -28,6 +28,8 @@ def rating_message(value: object) -> str:
 
 
 _RATINGS_BY_TEXT = {str(value): value for value in range(RATING_MIN, RATING_MAX + 1)}
+# Every rating. True and 1.0 test as members too, so a check tests the type apart.
+_RATINGS = frozenset(_RATINGS_BY_TEXT.values())
 
 
 def rating_from_text(text: str) -> int | None:

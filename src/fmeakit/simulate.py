@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scales import OCCURRENCE_DENOMINATORS, check_rating, rating_from_rate
-from .worksheet import Worksheet
+from .scales import _RATINGS, OCCURRENCE_DENOMINATORS, check_rating, rating_from_rate
+from .worksheet import Worksheet, _filled
 
 _SEED_MAX = 2**64 - 1
 _TRIALS_MAX = 2**63 - 1  # numpy draws binomial counts as int64
@@ -63,6 +63,7 @@ class SimConfig:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
 
+@_filled
 @dataclass(frozen=True)
 class SimResult:
     """Outcome of one simulated scale point."""
@@ -138,34 +139,28 @@ def _stream_states(seed: int, key_words: np.ndarray) -> list[tuple[int, int]]:
 _PROBABILITY = {r: 1 / n for r, n in OCCURRENCE_DENOMINATORS.items()}
 
 
-def _draw(generator: np.random.Generator, rating: int, trials: int) -> SimResult:
-    # A bare lookup would take True as rating 1; ratings are never coerced.
-    probability = _PROBABILITY[check_rating(rating, "occurrence")]
-    failures = int(generator.binomial(trials, probability))
-    empirical_rate = failures / trials
-    # Zero failures is the correct inference at the scale floor, not an error.
-    rating_out = rating_from_rate(empirical_rate) if failures > 0 else 1
-    return SimResult(
-        rating_in=rating,
-        trials=trials,
-        failures=failures,
-        empirical_rate=empirical_rate,
-        rating_out=rating_out,
-        agrees=rating_out == rating,
-    )
-
-
 def _simulate(ratings: list[int], cfg: SimConfig,
               key_words: np.ndarray) -> list[SimResult]:
     """Draw rating i from the stream whose spawn key is row i of key_words."""
+    # A bare lookup would take True as rating 1; ratings are never coerced.
+    if not (set(map(type, ratings)) <= {int} and set(ratings) <= _RATINGS):
+        for rating in ratings:  # raises for the first bad one
+            check_rating(rating, "occurrence")
     bit_generator = np.random.PCG64(0)  # its state is replaced before each draw
-    generator = np.random.Generator(bit_generator)
+    binomial = np.random.Generator(bit_generator).binomial
+    stream = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": stream, "has_uint32": 0, "uinteger": 0}
+    trials = cfg.trials
     results = []
-    for rating, (state, inc) in zip(ratings, _stream_states(cfg.seed, key_words)):
-        bit_generator.state = {"bit_generator": "PCG64",
-                               "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
-        results.append(_draw(generator, rating, cfg.trials))
+    for rating, (stream["state"], stream["inc"]) in zip(
+            ratings, _stream_states(cfg.seed, key_words)):
+        bit_generator.state = state
+        failures = int(binomial(trials, _PROBABILITY[rating]))
+        empirical_rate = failures / trials
+        # Zero failures is the correct inference at the scale floor, not an error.
+        rating_out = rating_from_rate(empirical_rate) if failures > 0 else 1
+        results.append(SimResult(rating, trials, failures, empirical_rate, rating_out,
+                                 rating_out == rating))
     return results
 
 

@@ -34,6 +34,8 @@ from fmeakit import (
 from fmeakit.ingest import (
     _JSON_DEFAULTS,
     ParseError,
+    _accept,
+    _check_duplicates,
     _entry,
     _may_hold_lone_surrogate,
     _unicode_problem,
@@ -209,11 +211,12 @@ def test_csv_and_json_agree_on_a_row(row):
         == _parse_outcome(parse_json, document.encode("utf-8"))
 
 
-# _entry accepts a row by lookup only when the caller vouches for clean text;
-# without that promise it diagnoses every row, which is the reference. Both
-# must give the same entry, or the same error lines in the same order, and so
-# must the parser on the one-row document. Each row or object starts valid
-# and has up to three fields replaced.
+# A sheet is accepted by _accept, column by column, only when every row is
+# certainly valid; _entry diagnoses a row and is the reference. Both must
+# give the same entry, or _accept must decline a row _entry finds fault
+# with, and the parser must give that entry or _entry's error lines on the
+# one-row document. Each row or object starts valid and has up to three
+# fields replaced.
 _VALID_CELLS = {
     "component": component_names,
     "declared_classification": st.sampled_from(
@@ -254,9 +257,9 @@ def json_objects(draw):
     return record
 
 
-def _built(values, clean_text, source_kind, row, prefix, errors=()):
+def _built(values, source_kind, row, prefix, errors=()):
     errors = list(errors)
-    entry = _entry(values, errors, source_kind, row, prefix, clean_text)
+    entry = _entry(values, errors, source_kind, row, prefix)
     return [str(e) for e in errors] if errors else entry
 
 
@@ -267,14 +270,21 @@ def _parsed(parse, data):
         return [str(e) for e in exc.errors]
 
 
+def _accepted(values):
+    # _accept on the one-row sheet: its entry, or None if it declines.
+    entries = _accept([[value] for value in values])
+    return entries if entries is None else entries[0]
+
+
 @settings(max_examples=300, deadline=None)
 @given(csv_rows())
 def test_csv_fast_path_agrees_with_entry(row):
-    # A rating cell reaches _entry as its rating, or as text if it is none.
+    # A rating cell reaches both as its rating, or as text if it is none.
     values = [rating_from_text(cell) or cell if name in RATING_FIELDS else cell
               for name, cell in zip(CSV_COLUMNS, row)]
-    expected = _built(values, False, "csv", 2, "")
-    assert _built(values, True, "csv", 2, "") == expected
+    expected = _built(values, "csv", 2, "")
+    # Every CSV cell is str, so _accept declines exactly the faulty rows.
+    assert _accepted(values) == (None if isinstance(expected, list) else expected)
     assert _parsed(parse_csv, csv_text([CSV_COLUMNS, row]).encode("utf-8")) == expected
 
 
@@ -290,10 +300,85 @@ def test_json_fast_path_agrees_with_entry(item, ascii_only):
     unknown = [ParseError("json", "unknown field", column=f"entries[0].{name}")
                for name in item if name not in CSV_COLUMNS]
     values = [item.get(name, default) for name, default in zip(CSV_COLUMNS, _JSON_DEFAULTS)]
-    expected = _built(values, False, "json", None, "entries[0].", unknown)
-    assert _parsed(parse_json, data) == expected
+    assert _parsed(parse_json, data) == \
+        _built(values, "json", None, "entries[0].", unknown)
     if not _may_hold_lone_surrogate(data.decode("utf-8")):  # as parse_json decides
-        assert _built(values, True, "json", None, "entries[0].", unknown) == expected
+        expected = _built(values, "json", None, "entries[0].")
+        accepted = _accepted(values)
+        if accepted is not None:
+            assert accepted == expected
+        else:  # _entry reads a null narrative as empty text; _accept declines it
+            assert isinstance(expected, list) or None in values[5:10]
+
+
+# Sheets of up to 30 rows: unique keys unless one row copies another's,
+# ratings spelt with leading zeros, blank and mixed-case classes, and at
+# most one cell replaced by a value that may be bad.
+_SHEET_CELLS = {
+    **_VALID_CELLS,
+    **{name: st.sampled_from(["1", "05", "7", "010", "10"]) for name in RATING_FIELDS},
+    "declared_classification": st.sampled_from(
+        ["", " ", "Critical", " marginal ", "NEGLIGIBLE", "cAtAsTrOpHiC"]),
+}
+
+
+@st.composite
+def sheets(draw, bad_values):
+    rows = []
+    for index in range(draw(st.integers(0, 30))):
+        record = {name: draw(_SHEET_CELLS.get(name, narrative)) for name in CSV_COLUMNS}
+        record["component"] = f"{record['component']} {index}"
+        rows.append(record)
+    if len(rows) > 1 and draw(st.booleans()):
+        source, target = draw(st.permutations(rows))[:2]
+        target.update(component=source["component"], failure_mode=source["failure_mode"])
+    if rows and draw(st.booleans()):
+        draw(st.sampled_from(rows))[draw(st.sampled_from(CSV_COLUMNS))] = draw(bad_values)
+    return rows
+
+
+def _diagnosed(rows, source_kind):
+    # _entry row by row, then the duplicate check: the entries, or the errors.
+    errors, entries, keyed = [], [], []
+    for index, values in enumerate(rows):
+        row, prefix = ((index + 2, "") if source_kind == "csv"
+                       else (None, f"entries[{index}]."))
+        entries.append(_entry(values, errors, source_kind, row, prefix))
+        keyed.append(((entries[-1].component, entries[-1].failure_mode), row or index))
+    _check_duplicates(keyed, source_kind, errors)
+    return [str(e) for e in errors] if errors else entries
+
+
+def _sheet_outcome(parse, data):
+    try:
+        return list(parse(data).entries)
+    except ParseFailure as exc:
+        return [str(e) for e in exc.errors]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sheets(csv_cells))
+def test_csv_sheet_by_column_agrees_with_entry_by_row(rows):
+    cells = [[record[name] for name in CSV_COLUMNS] for record in rows]
+    values = [[rating_from_text(cell) or cell if name in RATING_FIELDS else cell
+               for name, cell in zip(CSV_COLUMNS, row)] for row in cells]
+    data = csv_text([CSV_COLUMNS, *cells]).encode("utf-8")
+    assert _sheet_outcome(parse_csv, data) == _diagnosed(values, "csv")
+
+
+@settings(max_examples=200, deadline=None)
+@given(sheets(st.sampled_from(["\ud800", "a\udfffb", 0, 11, True, 5.0, None, [], "Bogus"])
+              | json_values))
+def test_json_sheet_by_column_agrees_with_entry_by_row(rows):
+    for record in rows:
+        for name in RATING_FIELDS:
+            if type(record[name]) is str and rating_from_text(record[name]) is not None:
+                record[name] = rating_from_text(record[name])
+    data = json.dumps({"title": "", "entries": rows}).encode("utf-8")
+    rows = json.loads(data)["entries"]
+    values = [[record.get(name, default)
+               for name, default in zip(CSV_COLUMNS, _JSON_DEFAULTS)] for record in rows]
+    assert _sheet_outcome(parse_json, data) == _diagnosed(values, "json")
 
 
 # JSON string bodies spelt piece by piece: escaped backslashes, surrogate

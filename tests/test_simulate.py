@@ -73,6 +73,20 @@ def test_worksheet_rejects_invalid_occurrence():
             simulate_worksheet(ws, SimConfig(trials=10))
 
 
+@pytest.mark.parametrize("bad", [True, 0, 11, 5.0], ids=repr)
+def test_worksheet_error_names_the_first_bad_occurrence(bad):
+    # The whole list is checked before any draw; the error is the one a
+    # check of each entry in worksheet order raises at the first bad value.
+    ratings = (3, 7, bad, 12, 1)
+    ws = Worksheet("", [FmeaEntry(f"Pump {i}", "Seal leak", RatingTriple(5, o, 5))
+                        for i, o in enumerate(ratings)])
+    with pytest.raises(RatingRangeError) as caught:
+        simulate_worksheet(ws, SimConfig(trials=10))
+    assert type(caught.value.value) is type(bad) and caught.value.value == bad
+    assert caught.value.field == "occurrence"
+    assert str(caught.value) == f"occurrence must be an integer in [1, 10], got {bad!r}"
+
+
 def test_zero_failures_maps_to_rating_one():
     # rating 1 is p = 1/1,500,000; 100 trials will essentially never hit it
     result = simulate_occurrence(1, SimConfig(trials=100, seed=0))

@@ -2,16 +2,31 @@
 
 from __future__ import annotations
 
+import inspect
+import pickle
+from dataclasses import (
+    MISSING,
+    FrozenInstanceError,
+    dataclass,
+    field,
+    fields,
+    make_dataclass,
+    replace,
+)
+
 import pytest
 
 from fmeakit import (
     ClassLabel,
     FmeaEntry,
     RatingTriple,
+    RpnResult,
+    SimResult,
     Worksheet,
     validate_entry,
     validate_worksheet,
 )
+from fmeakit.worksheet import _filled
 
 
 def entry(component="Pump", failure_mode="Seal leak", s=5, o=5, d=5, **kwargs):
@@ -86,3 +101,70 @@ def test_duplicate_pairs_reported_once_with_all_indices():
 def test_distinct_failure_modes_on_one_component_are_fine():
     ws = Worksheet("demo", [entry(), entry(failure_mode="Bearing wear")])
     assert validate_worksheet(ws) == []
+
+
+# Two value tuples per record that _filled gives its __init__, differing
+# in every field.
+_RECORD_VALUES = {
+    FmeaEntry: (("Pump", "Seal leak", RatingTriple(5, 4, 3), "e", "ee", "c", "p", "d",
+                 ClassLabel.CRITICAL),
+                ("Valve", "Stuck", RatingTriple(1, 2, 3), "", "x", "", "y", "", None)),
+    RpnResult: ((3, 60, 1, ClassLabel.NEGLIGIBLE, None, False),
+                (4, 600, 2, ClassLabel.CATASTROPHIC, ClassLabel.MARGINAL, True)),
+    SimResult: ((5, 1000, 2, 0.002, 5, True), (6, 10, 0, 0.0, 1, False)),
+}
+
+
+def _plain(cls):
+    # A frozen dataclass with the same name and fields, and the __init__
+    # the dataclasses module writes.
+    return make_dataclass(cls.__name__, [
+        (f.name, f.type) if f.default is MISSING
+        else (f.name, f.type, field(default=f.default)) for f in fields(cls)], frozen=True)
+
+
+@pytest.mark.parametrize("cls", list(_RECORD_VALUES), ids=lambda cls: cls.__name__)
+def test_filled_record_keeps_the_frozen_dataclass_contract(cls):
+    plain = _plain(cls)
+    values, other = _RECORD_VALUES[cls]
+    names = [f.name for f in fields(cls)]
+    record, reference = cls(*values), plain(*values)
+    assert inspect.signature(cls) == inspect.signature(plain)
+    assert str(inspect.signature(cls)) == str(inspect.signature(plain))
+    assert repr(record) == repr(reference)
+    assert hash(record) == hash(reference)
+    assert vars(record) == vars(reference)
+    assert record == cls(*values) == cls(**dict(zip(names, values)))
+    assert record != cls(*other) and reference != plain(*other)
+    required = [f for f in fields(cls) if f.default is MISSING]
+    assert repr(cls(*values[:len(required)])) == repr(plain(*values[:len(required)]))
+    assert replace(record) == record
+    assert replace(record, **dict(zip(names, other))) == cls(*other)
+    restored = pickle.loads(pickle.dumps(record))
+    assert type(restored) is cls and restored == record and hash(restored) == hash(record)
+    for name, value in zip(names, other):
+        for target in (record, reference):
+            with pytest.raises(FrozenInstanceError):
+                setattr(target, name, value)
+            with pytest.raises(FrozenInstanceError):
+                delattr(target, name)
+    assert record == cls(*values)
+
+
+def test_filled_refuses_a_class_whose_init_does_more_than_fill():
+    @dataclass(frozen=True)
+    class Checked:
+        value: int
+
+        def __post_init__(self):
+            pass
+
+    @dataclass(frozen=True)
+    class Listed:
+        items: list = field(default_factory=list)
+
+    for cls in (Checked, Listed):
+        init = cls.__init__
+        with pytest.raises(TypeError):
+            _filled(cls)
+        assert cls.__init__ is init
