@@ -150,13 +150,16 @@ def rank(ws: Worksheet, bands: ClassBands = DEFAULT_BANDS) -> list[RpnResult]:
     Equal RPNs are broken by severity, then occurrence, then detection
     (all descending), then component name ascending; remaining ties keep
     worksheet order. Severity leads the chain because it is the one factor
-    considered distinctive per failure mode. A rating off the 1-10 scale,
-    which neither parser accepts, raises ValueError.
+    considered distinctive per failure mode. A rating that is not an int
+    on the 1-10 scale (a bool, a float or an int subclass included), which
+    neither parser accepts, raises ValueError.
     """
     entries = ws.entries
     triples = [entry.triple for entry in entries]
-    if not {t.severity for t in triples} | {t.occurrence for t in triples} \
-            | {t.detection for t in triples} <= _RATINGS:
+    # Types are taken before any set of values: True and 5.0 equal 1 and 5.
+    ratings = [t.severity for t in triples] + [t.occurrence for t in triples] \
+        + [t.detection for t in triples]
+    if not (set(map(type, ratings)) <= {int} and set(ratings) <= _RATINGS):
         raise ValueError("rank needs every rating on the 1-10 scale")
     values = list(map(rpn, triples))
     # Stable sorts: by component ascending, then by (rpn, s, o, d) packed

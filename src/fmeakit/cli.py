@@ -24,10 +24,10 @@ from .analysis import (
     summary_stats,
 )
 from .dataset import bundled_csv_bytes, microgrid_worksheet
-from .ingest import ParseFailure, emit_json, json_text, parse_csv, parse_json
+from .ingest import ParseFailure, emit_json, parse_csv, parse_json
 from .report import (
-    analysis_payload,
     render_analysis_csv,
+    render_analysis_json,
     render_analysis_markdown,
     render_fmea_report,
     render_matrix_csv,
@@ -122,7 +122,7 @@ def _cmd_analyze(args: argparse.Namespace) -> str:
         return render_analysis_markdown(*parts)
     if args.format == "csv":
         return render_analysis_csv(*parts)
-    return json_text(analysis_payload(*parts))
+    return render_analysis_json(*parts)
 
 
 def _cmd_matrix(args: argparse.Namespace) -> str | bytes:

@@ -138,14 +138,17 @@ def _accept(columns: Sequence[Sequence[object]]) -> list[FmeaEntry] | None:
     """Every row of a sheet, given as its eleven columns in CSV_COLUMNS
     order, as an entry; None unless every row is certainly valid.
 
-    Certainly valid: text cells are str and no component is blank, ratings
-    are int in 1-10, the class is None, blank or a label, and no
-    (component, failure_mode) key repeats. The caller has ruled out lone
-    surrogates. Each test is one pass over whole columns.
+    Certainly valid: the component and failure mode are str and no
+    component is blank, a narrative is str or None (read as empty text, as
+    _entry reads it), ratings are int in 1-10, the class is None, blank or
+    a label, and no (component, failure_mode) key repeats. The caller has
+    ruled out lone surrogates. Each test is one pass over whole columns.
     """
     components, failure_modes, severities, occurrences, detections, *narratives, \
         declared = columns
-    if not (set(map(type, chain(components, failure_modes, *narratives))) <= {str}
+    narrative_types = set(map(type, chain(*narratives)))
+    if not (set(map(type, chain(components, failure_modes))) <= {str}
+            and narrative_types <= {str, type(None)}
             and all(map(str.strip, components))
             and set(map(type, chain(severities, occurrences, detections))) <= {int}
             and set(chain(severities, occurrences, detections)) <= _RATINGS
@@ -157,6 +160,9 @@ def _accept(columns: Sequence[Sequence[object]]) -> list[FmeaEntry] | None:
               for text in set(declared)}
     if _MISS in labels.values():
         return None
+    if type(None) in narrative_types:  # only JSON null can put one there
+        narratives = [["" if cell is None else cell for cell in column]
+                      for column in narratives]
     return list(map(FmeaEntry, components, failure_modes,
                     map(_triple, severities, occurrences, detections), *narratives,
                     map(labels.__getitem__, declared)))
@@ -399,10 +405,18 @@ def _float_text(value: float) -> str:
     return _NONFINITE.get(text, text)
 
 
+class _Spelt(str):
+    """Text already spelt as JSON, at the indent of the place it fills."""
+
+    __slots__ = ()
+
+
 # Scalar type -> its JSON spelling, as the json module spells it with
-# ensure_ascii=False (NaN and the infinities as JavaScript names them).
+# ensure_ascii=False (NaN and the infinities as JavaScript names them);
+# _Spelt text is placed as it is.
 _SPELLERS = {str: encode_basestring, int: int.__repr__, float: _float_text,
-             bool: ("false", "true").__getitem__, type(None): {None: "null"}.__getitem__}
+             bool: ("false", "true").__getitem__, type(None): {None: "null"}.__getitem__,
+             _Spelt: str.__str__}
 
 
 def _json(value: object, outer: str) -> str:
@@ -436,7 +450,8 @@ def json_text(document: object) -> str:
     Python and spells each scalar with the functions the json module uses.
     Values must be of exactly these types: dict with str keys, list,
     tuple, str, int, float, bool and None. Any other type, a subclass
-    included, raises TypeError.
+    included, raises TypeError; only this module's _Spelt text, already
+    JSON, is written as it is.
     """
     return _json(document, "\n") + "\n"
 

@@ -10,6 +10,7 @@ tool, so any change to them is a contract change.
 from __future__ import annotations
 
 from itertools import starmap
+from json.encoder import encode_basestring
 
 from .analysis import (
     ClassBands,
@@ -19,7 +20,7 @@ from .analysis import (
     RpnResult,
     Summary,
 )
-from .ingest import csv_text
+from .ingest import _Spelt, csv_text, json_text
 from .scales import DETECTION_SCALE, OCCURRENCE_SCALE, SEVERITY_SCALE
 from .simulate import SimResult
 from .worksheet import RATING_FIELDS, ClassLabel, Worksheet
@@ -46,6 +47,15 @@ _MD_HEADER = (_MD_ROW.format(*(heading for _, heading in _TABLE_FIELDS)),
               "|" + "|".join(" --- " for _ in _TABLE_FIELDS) + "|")
 # Each label's text, looked up without an Enum descriptor call per row.
 _LABEL_TEXT = {label: label.value for label in ClassLabel}
+_LABELS_OR_NONE = {None: None, **_LABEL_TEXT}
+# One ranked record and one collision group as json_text spells them inside
+# the analysis document's lists: keys at six spaces, the record at four.
+_JSON_ROW = "{" + ",".join(f"\n      {encode_basestring(key)}: %s"
+                           for key in _RANKED_KEYS) + "\n    }"
+_JSON_GROUP = ('{\n      "rpn": %s,\n      "members": [\n        %s\n      ],'
+               '\n      "components": [\n        %s\n      ]\n    }')
+_JSON_LABELS = {None: "null", **{label: encode_basestring(text)
+                                 for label, text in _LABEL_TEXT.items()}}
 
 
 def _one_line(text: str) -> str:
@@ -71,16 +81,19 @@ def _text_table(headers: tuple[str, ...], rows: list[tuple[str, ...]]) -> str:
     return "\n".join([fmt(*row).rstrip() for row in (headers, *rows)]) + "\n"
 
 
-def _ranked_values(ws: Worksheet, result: RpnResult) -> tuple:
-    """One ranked row in _RANKED_FIELDS order, with its JSON values: None
-    for a missing declared class, a boolean discrepancy flag."""
+def _ranked_values(ws: Worksheet, result: RpnResult, text=str,
+                   labels=_LABELS_OR_NONE, flags=(False, True)) -> tuple:
+    """One ranked row in _RANKED_FIELDS order: the two worksheet-text cells
+    passed through *text*, each class looked up in *labels* (its None key
+    is a missing declared class), the discrepancy flag as flags[0] (no) or
+    flags[1] (yes). The defaults give analysis_payload's values."""
     entry = ws.entries[result.entry_index]
     triple = entry.triple
     return (
-        result.rank, result.entry_index, entry.component, entry.failure_mode,
+        result.rank, result.entry_index, text(entry.component), text(entry.failure_mode),
         triple.severity, triple.occurrence, triple.detection, result.rpn,
-        _LABEL_TEXT[result.computed_class], _LABEL_TEXT.get(result.declared_class),
-        result.discrepancy,
+        labels[result.computed_class], labels[result.declared_class],
+        flags[result.discrepancy],
     )
 
 
@@ -341,16 +354,9 @@ def render_analysis_csv(ws: Worksheet, results: list[RpnResult],
     return "\n".join(out)
 
 
-def analysis_payload(ws: Worksheet, results: list[RpnResult],
-                     groups: list[CollisionGroup], flagged: list[RpnResult],
-                     summary: Summary, bands: ClassBands) -> dict:
-    """Analysis as a JSON-serializable dict (the --format json contract).
-
-    Each ranked record is built once: "results" and "discrepancies" share
-    the record dicts of the flagged entries.
-    """
+def _analysis_head(summary: Summary, bands: ClassBands) -> dict:
+    """The analysis document's first two keys, "bands" and "summary"."""
     mean = summary.rpn_mean
-    records = {r.entry_index: _ranked_record(ws, r) for r in results}
     return {
         "bands": [bands.marginal_min, bands.critical_min, bands.catastrophic_min],
         "summary": {
@@ -365,6 +371,21 @@ def analysis_payload(ws: Worksheet, results: list[RpnResult],
                 label.value: summary.declared_class_counts[label]
                 for label in ClassLabel},
         },
+    }
+
+
+def analysis_payload(ws: Worksheet, results: list[RpnResult],
+                     groups: list[CollisionGroup], flagged: list[RpnResult],
+                     summary: Summary, bands: ClassBands) -> dict:
+    """Analysis as a JSON-serializable dict, the --format json document;
+    render_analysis_json writes the same document as text.
+
+    Each ranked record is built once: "results" and "discrepancies" share
+    the record dicts of the flagged entries.
+    """
+    records = {r.entry_index: _ranked_record(ws, r) for r in results}
+    return {
+        **_analysis_head(summary, bands),
         "results": list(records.values()),
         "collisions": [
             {
@@ -376,6 +397,33 @@ def analysis_payload(ws: Worksheet, results: list[RpnResult],
         ],
         "discrepancies": [records[r.entry_index] for r in flagged],
     }
+
+
+def _spelt_list(items: list[str]) -> _Spelt:
+    return _Spelt("[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]")
+
+
+def render_analysis_json(ws: Worksheet, results: list[RpnResult],
+                         groups: list[CollisionGroup], flagged: list[RpnResult],
+                         summary: Summary, bands: ClassBands) -> str:
+    """The analysis document as text, json_text(analysis_payload(...)) byte
+    for byte. Each ranked record and collision group is spelt from one
+    template instead of built as a dict and walked key by key; a flagged
+    record's text serves both "results" and "discrepancies"."""
+    spelling = (encode_basestring, _JSON_LABELS, ("false", "true"))
+    records = {r.entry_index: _JSON_ROW % _ranked_values(ws, r, *spelling)
+               for r in results}
+    entries = ws.entries
+    spelt_groups = [_JSON_GROUP % (
+        group.rpn, ",\n        ".join(map(str, group.members)),
+        ",\n        ".join([encode_basestring(entries[i].component) for i in group.members]))
+        for group in groups]
+    return json_text({
+        **_analysis_head(summary, bands),
+        "results": _spelt_list(list(records.values())),
+        "collisions": _spelt_list(spelt_groups),
+        "discrepancies": _spelt_list([records[r.entry_index] for r in flagged]),
+    })
 
 
 def render_simulation_text(results: list[SimResult],

@@ -133,6 +133,22 @@ def test_rank_refuses_a_rating_off_the_scale(bad):
         rank(make_ws((5, 5, 5), bad))
 
 
+class _Rating(int):
+    pass
+
+
+@pytest.mark.parametrize("position", range(3))
+@pytest.mark.parametrize("value", [True, 5.0, _Rating(5)],
+                         ids=["bool", "float", "int-subclass"])
+def test_rank_refuses_a_rating_that_is_not_an_int(value, position):
+    # Each equals an on-scale int, and the row before holds that int, so a
+    # check of the set of values alone would take it.
+    bad = [5, 5, 5]
+    bad[position] = value
+    with pytest.raises(ValueError, match="1-10 scale"):
+        rank(make_ws((5, 5, 5), (1, 1, 1), tuple(bad)))
+
+
 def bruteforce_collisions(ws: Worksheet) -> dict[int, list[int]]:
     """All-pairs oracle: every index pair sharing an RPN value."""
     values = [rpn(e.triple) for e in ws.entries]
