@@ -60,7 +60,7 @@ DEFAULT_BANDS = ClassBands(100, 200, 500)
 
 
 @_filled
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RpnResult:
     """Computed risk of one entry: RPN, rank, and classification outcome."""
 

@@ -212,7 +212,7 @@ def _entry(values: Iterable[object], errors: list[ParseError], source_kind: str,
     return entry
 
 
-def _csv_ratings(cells: list[str]) -> list[int | str]:
+def _csv_ratings(cells: Sequence[str]) -> list[int | str]:
     """Rating cells as their ratings: each is looked up as spelt ("05"
     misses), else read by rating_from_text, else left as text to reject."""
     ratings = list(map(_RATINGS_BY_TEXT.get, cells))
@@ -278,7 +278,8 @@ def parse_csv(data: bytes) -> Worksheet:
     positions = list(map(header.index, CSV_COLUMNS))
     entries = None
     if set(map(len, body)) <= {len(header)}:
-        columns = [list(map(itemgetter(i), body)) for i in positions]
+        transposed = list(zip(*body)) or [()] * len(header)
+        columns = [transposed[i] for i in positions]
         columns[2:5] = map(_csv_ratings, columns[2:5])
         entries = _accept(columns)
     if entries is None:
@@ -405,40 +406,58 @@ def _float_text(value: float) -> str:
     return _NONFINITE.get(text, text)
 
 
-class _Spelt(str):
-    """Text already spelt as JSON, at the indent of the place it fills."""
+class _Spelt(list):
+    """A list whose items are text already spelt as JSON, each at the
+    indent of the place it fills."""
 
     __slots__ = ()
 
 
 # Scalar type -> its JSON spelling, as the json module spells it with
-# ensure_ascii=False (NaN and the infinities as JavaScript names them);
-# _Spelt text is placed as it is.
+# ensure_ascii=False (NaN and the infinities as JavaScript names them).
 _SPELLERS = {str: encode_basestring, int: int.__repr__, float: _float_text,
-             bool: ("false", "true").__getitem__, type(None): {None: "null"}.__getitem__,
-             _Spelt: str.__str__}
+             bool: ("false", "true").__getitem__, type(None): {None: "null"}.__getitem__}
 
 
-def _json(value: object, outer: str) -> str:
-    """value as indented JSON; *outer* is the line break and indent before
-    its closing bracket. A scalar part is spelt in place, not by a call."""
+def _json(value: object, outer: str, out: list[str]) -> None:
+    """Append value as indented JSON to *out*; *outer* is the line break and
+    indent before its closing bracket. A scalar part is spelt in place, not
+    by a call, and a _Spelt item is appended as it is: only the caller's
+    final join copies it."""
     kind = type(value)
     if kind in _SPELLERS:
-        return _SPELLERS[kind](value)
-    if kind is not dict and kind is not list and kind is not tuple:
+        out.append(_SPELLERS[kind](value))
+        return
+    if kind is not dict and kind is not list and kind is not tuple and kind is not _Spelt:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
     if not value:
-        return "{}" if kind is dict else "[]"
+        out.append("{}" if kind is dict else "[]")
+        return
     inner = outer + "  "
-    spelling = _SPELLERS.get
+    separator, comma = ("{" if kind is dict else "[") + inner, "," + inner
+    if kind is _Spelt:
+        out += chain.from_iterable(zip(chain([separator], repeat(comma)), value))
+        out.append(outer + "]")
+        return
+    spelling, append = _SPELLERS.get, out.append
     if kind is dict:
-        parts = [f"{encode_basestring(key)}: "
-                 f"{spell(item) if (spell := spelling(type(item))) else _json(item, inner)}"
-                 for key, item in value.items()]
-        return "{" + inner + ("," + inner).join(parts) + outer + "}"
-    parts = [spell(item) if (spell := spelling(type(item))) else _json(item, inner)
-             for item in value]
-    return "[" + inner + ("," + inner).join(parts) + outer + "]"
+        for key, item in value.items():
+            if spell := spelling(type(item)):
+                append(f"{separator}{encode_basestring(key)}: {spell(item)}")
+            else:
+                append(f"{separator}{encode_basestring(key)}: ")
+                _json(item, inner, out)
+            separator = comma
+        append(outer + "}")
+        return
+    for item in value:
+        if spell := spelling(type(item)):
+            append(separator + spell(item))
+        else:
+            append(separator)
+            _json(item, inner, out)
+        separator = comma
+    append(outer + "]")
 
 
 def json_text(document: object) -> str:
@@ -447,13 +466,16 @@ def json_text(document: object) -> str:
     The same text as the json module writes with indent=2 and
     ensure_ascii=False, plus a line feed. That module gives up its C
     encoder when asked to indent; this writer walks only the containers in
-    Python and spells each scalar with the functions the json module uses.
-    Values must be of exactly these types: dict with str keys, list,
-    tuple, str, int, float, bool and None. Any other type, a subclass
-    included, raises TypeError; only this module's _Spelt text, already
-    JSON, is written as it is.
+    Python, spells each scalar with the functions the json module uses,
+    and joins all the pieces once. Values must be of exactly these types:
+    dict with str keys, list, tuple, str, int, float, bool and None. Any
+    other type, a subclass included, raises TypeError; only this module's
+    _Spelt list, whose items are already JSON, is written as it is.
     """
-    return _json(document, "\n") + "\n"
+    out: list[str] = []
+    _json(document, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def csv_text(rows: Iterable[Sequence[object]]) -> str:

@@ -9,8 +9,9 @@ tool, so any change to them is a contract change.
 
 from __future__ import annotations
 
-from itertools import starmap
+from collections.abc import Callable
 from json.encoder import encode_basestring
+from operator import methodcaller
 
 from .analysis import (
     ClassBands,
@@ -42,9 +43,33 @@ _RANKED_FIELDS = (
 )
 _RANKED_KEYS = tuple(key for key, _ in _RANKED_FIELDS)
 _TABLE_FIELDS = tuple(field for field in _RANKED_FIELDS if field[1] is not None)
-_MD_ROW = "| " + " | ".join(["{}"] * len(_TABLE_FIELDS)) + " |"
-_MD_HEADER = (_MD_ROW.format(*(heading for _, heading in _TABLE_FIELDS)),
+_MD_ROW = "| " + " | ".join(["%s"] * len(_TABLE_FIELDS)) + " |"
+_MD_HEADER = (_MD_ROW % tuple(heading for _, heading in _TABLE_FIELDS),
               "|" + "|".join(" --- " for _ in _TABLE_FIELDS) + "|")
+# A "|" in a Markdown cell, escaped so that it does not end the cell.
+_md_cell = methodcaller("replace", "|", "\\|")
+# The ranked and discrepancy CSV tables, a template per row each; csv_text
+# would write the same text.
+_CSV_HEADER = ",".join(key for key, _ in _TABLE_FIELDS) + "\n"
+_CSV_ROW = ",".join(["%s"] * len(_TABLE_FIELDS)) + "\n"
+_FLAGGED_CSV_HEADER = "rank,component,rpn,computed_class,declared_class\n"
+_FLAGGED_CSV_ROW = "%s,%s,%s,%s,%s\n"
+# One entry's section of the report, 14 lines, each after a line feed.
+_REPORT_SECTION = """
+
+## %s. %s
+
+- Failure mode: %s
+- Severity (S): %s
+- Effect: %s
+- End effect: %s
+- Cause: %s
+- Classification: %s
+- Occurrence (O): %s
+- Prevention controls: %s
+- Detection controls: %s
+- Detection (D): %s
+- RPN: %s"""
 # Each label's text, looked up without an Enum descriptor call per row.
 _LABEL_TEXT = {label: label.value for label in ClassLabel}
 _LABELS_OR_NONE = {None: None, **_LABEL_TEXT}
@@ -62,6 +87,17 @@ def _one_line(text: str) -> str:
     # CommonMark ends a line at LF, CRLF and a bare CR alike: each becomes a space.
     if "\n" in text or "\r" in text:
         return text.replace("\r\n", " ").replace("\n", " ").replace("\r", " ")
+    return text
+
+
+def _csv_cell(text: str) -> str:
+    """Worksheet text as a CSV cell, as csv_text writes it: quoted when it
+    holds a double quote, a comma, a line feed or a carriage return, each
+    double quote doubled."""
+    if '"' in text:
+        return '"%s"' % text.replace('"', '""')
+    if "," in text or "\n" in text or "\r" in text:
+        return '"%s"' % text
     return text
 
 
@@ -101,20 +137,20 @@ def _ranked_record(ws: Worksheet, result: RpnResult) -> dict[str, object]:
     return dict(zip(_RANKED_KEYS, _ranked_values(ws, result)))
 
 
-def _table_rows(results: list[RpnResult], ws: Worksheet, bar: str, missing: str,
-                flags: tuple[str, str]) -> list[tuple]:
+def _table_rows(results: list[RpnResult], ws: Worksheet, cell: Callable[[str], str],
+                missing: str, flags: tuple[str, str]) -> list[tuple]:
     """Ranked rows as table cells in _TABLE_FIELDS order: numbers as ints,
-    "|" spelt *bar* in the two worksheet-text cells (no other cell can hold
-    one), a missing declared class as *missing*, the discrepancy flag as
-    flags[0] (no) or flags[1] (yes)."""
+    the two worksheet-text cells passed through *cell*, a missing declared
+    class as *missing*, the discrepancy flag as flags[0] (no) or flags[1]
+    (yes)."""
     entries = ws.entries
     labels = {None: missing, **_LABEL_TEXT}
     rows = []
     for result in results:
         entry = entries[result.entry_index]
         triple = entry.triple
-        rows.append((result.rank, entry.component.replace("|", bar),
-                     entry.failure_mode.replace("|", bar), triple.severity,
+        rows.append((result.rank, cell(entry.component),
+                     cell(entry.failure_mode), triple.severity,
                      triple.occurrence, triple.detection, result.rpn,
                      labels[result.computed_class], labels[result.declared_class],
                      flags[result.discrepancy]))
@@ -123,15 +159,15 @@ def _table_rows(results: list[RpnResult], ws: Worksheet, bar: str, missing: str,
 
 def render_ranked(results: list[RpnResult], ws: Worksheet) -> str:
     """Render ranked results as a markdown table, rows in rank order."""
-    rows = _table_rows(results, ws, "\\|", "-", ("no", "yes"))
-    return _md_lines([*_MD_HEADER, *starmap(_MD_ROW.format, rows)])
+    rows = _table_rows(results, ws, _md_cell, "-", ("no", "yes"))
+    return _md_lines([*_MD_HEADER, *map(_MD_ROW.__mod__, rows)])
 
 
 def render_ranked_csv(results: list[RpnResult], ws: Worksheet) -> str:
     """Render ranked results as CSV: machine-readable headers, an empty
     cell for a missing declared class, true/false for the flag."""
-    rows = _table_rows(results, ws, "|", "", ("false", "true"))
-    return csv_text([[key for key, _ in _TABLE_FIELDS], *rows])
+    rows = _table_rows(results, ws, _csv_cell, "", ("false", "true"))
+    return _CSV_HEADER + "".join(map(_CSV_ROW.__mod__, rows))
 
 
 def render_fmea_report(ws: Worksheet, results: list[RpnResult]) -> str:
@@ -139,29 +175,32 @@ def render_fmea_report(ws: Worksheet, results: list[RpnResult]) -> str:
 
     Each section carries the complete row: failure mode, ratings, effects,
     cause, classification (the declared label when present, otherwise the
-    computed one), controls, and RPN.
+    computed one), controls, and RPN. As in _md_lines, a line break inside
+    worksheet text becomes a space: if the text holds a CR or more than its
+    1 + 14n line feeds, it is written again with each text cell on one line.
     """
-    lines = []
-    lines.append(f"# FMEA report: {ws.title}" if ws.title else "# FMEA report")
+    text = _report_text(ws, results, str)
+    if "\r" in text or text.count("\n") > 1 + 14 * len(results):
+        text = _report_text(ws, results, _one_line)
+    return text
+
+
+def _report_text(ws: Worksheet, results: list[RpnResult],
+                 line: Callable[[str], str]) -> str:
+    entries = ws.entries
+    sections = ["# FMEA report: %s" % line(ws.title) if ws.title else "# FMEA report"]
     for result in results:
-        entry = ws.entries[result.entry_index]
-        classification = (entry.declared_classification
-                          or result.computed_class).value
-        lines.append("")
-        lines.append(f"## {result.rank}. {entry.component}")
-        lines.append("")
-        lines.append(f"- Failure mode: {entry.failure_mode or '-'}")
-        lines.append(f"- Severity (S): {entry.triple.severity}")
-        lines.append(f"- Effect: {entry.effect or '-'}")
-        lines.append(f"- End effect: {entry.end_effect or '-'}")
-        lines.append(f"- Cause: {entry.cause or '-'}")
-        lines.append(f"- Classification: {classification}")
-        lines.append(f"- Occurrence (O): {entry.triple.occurrence}")
-        lines.append(f"- Prevention controls: {entry.prevention_controls or '-'}")
-        lines.append(f"- Detection controls: {entry.detection_controls or '-'}")
-        lines.append(f"- Detection (D): {entry.triple.detection}")
-        lines.append(f"- RPN: {result.rpn}")
-    return _md_lines(lines)
+        entry = entries[result.entry_index]
+        triple = entry.triple
+        sections.append(_REPORT_SECTION % (
+            result.rank, line(entry.component), line(entry.failure_mode) or "-",
+            triple.severity, line(entry.effect) or "-", line(entry.end_effect) or "-",
+            line(entry.cause) or "-",
+            _LABEL_TEXT[entry.declared_classification or result.computed_class],
+            triple.occurrence, line(entry.prevention_controls) or "-",
+            line(entry.detection_controls) or "-", triple.detection, result.rpn))
+    sections.append("\n")
+    return "".join(sections)
 
 
 def render_matrix_text(matrix: RiskMatrix) -> str:
@@ -342,15 +381,11 @@ def render_analysis_csv(ws: Worksheet, results: list[RpnResult],
         ])
     out.append(csv_text(collision_rows))
 
-    flagged_rows: list[list[object]] = [
-        ["rank", "component", "rpn", "computed_class", "declared_class"]]
-    for result in flagged:
-        flagged_rows.append([
-            result.rank, ws.entries[result.entry_index].component, result.rpn,
-            _LABEL_TEXT[result.computed_class],
-            _LABEL_TEXT.get(result.declared_class, "-"),
-        ])
-    out.append(csv_text(flagged_rows))
+    entries = ws.entries
+    out.append(_FLAGGED_CSV_HEADER + "".join([_FLAGGED_CSV_ROW % (
+        result.rank, _csv_cell(entries[result.entry_index].component), result.rpn,
+        _LABEL_TEXT[result.computed_class], _LABEL_TEXT.get(result.declared_class, "-"))
+        for result in flagged]))
     return "\n".join(out)
 
 
@@ -399,10 +434,6 @@ def analysis_payload(ws: Worksheet, results: list[RpnResult],
     }
 
 
-def _spelt_list(items: list[str]) -> _Spelt:
-    return _Spelt("[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]")
-
-
 def render_analysis_json(ws: Worksheet, results: list[RpnResult],
                          groups: list[CollisionGroup], flagged: list[RpnResult],
                          summary: Summary, bands: ClassBands) -> str:
@@ -420,9 +451,9 @@ def render_analysis_json(ws: Worksheet, results: list[RpnResult],
         for group in groups]
     return json_text({
         **_analysis_head(summary, bands),
-        "results": _spelt_list(list(records.values())),
-        "collisions": _spelt_list(spelt_groups),
-        "discrepancies": _spelt_list([records[r.entry_index] for r in flagged]),
+        "results": _Spelt(records.values()),
+        "collisions": _Spelt(spelt_groups),
+        "discrepancies": _Spelt([records[r.entry_index] for r in flagged]),
     })
 
 

@@ -64,7 +64,7 @@ class SimConfig:
 
 
 @_filled
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimResult:
     """Outcome of one simulated scale point."""
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import functools
 import gc
@@ -12,13 +13,22 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fmeakit import CSV_COLUMNS, FmeaEntry, RatingTriple, Worksheet, emit_csv
-from fmeakit.cli import run
+from fmeakit import (
+    CSV_COLUMNS,
+    FmeaEntry,
+    RatingTriple,
+    Worksheet,
+    emit_csv,
+    emit_json,
+    microgrid_worksheet,
+)
+from fmeakit.cli import build_parser, run
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -108,6 +118,84 @@ def test_validate_any_bytes_keeps_the_contract(tmp_path_factory, data, suffix, c
         assert out.buffer.getvalue() == b""
     for line in err.getvalue().splitlines():
         assert _LOCATED.match(line), line
+
+
+def _argv_vocabulary() -> dict[str, dict[str, list[str]]]:
+    """Each subcommand's option strings with their choices, read from the
+    parser itself, so that a new option is drawn as soon as it exists."""
+    parser = build_parser()
+    (commands,) = [action for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    return {name: {flag: list(action.choices or ()) for action in sub._actions
+                   for flag in action.option_strings}
+            for name, sub in commands.choices.items()}
+
+
+_VOCABULARY = _argv_vocabulary()
+# Option values and loose words, valid and not: ratings with a leading
+# zero, an Arabic-Indic digit and a space; counts and seeds at and past
+# the 64-bit limits; bands valid, unordered, repeated and too long; empty
+# text, "-" (standard input, empty here) and "--".
+_WORDS = ("0", "1", "5", "10", "11", "-1", "05", "\u0665", " 7", "1e3",
+          str(2**63 - 1), str(2**63), str(2**64 - 1), str(2**64),
+          "100,200,500", "0,5,10", "1,1,1", "3,2,1", "1" * 21 + ",2,3", "1,2",
+          "", "-", "--", "x", "\u03a9")
+# Stand-ins for files, put in place by the test: a valid CSV and JSON
+# sheet, a missing file and one whose format cannot be told.
+_FILES = ("<csv>", "<json>", "<missing>", "<txt>")
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand (or none, or an unknown one), usually a file, then up
+    to three options, each with a value or not, or loose words."""
+    command = draw(st.sampled_from([*_VOCABULARY, "bogus", "--help", ""]))
+    options = _VOCABULARY.get(command, {})
+    words = st.sampled_from(_WORDS)
+    argv = [command]
+    if draw(st.integers(0, 3)):
+        argv.append(draw(st.sampled_from([*_FILES, "-"])))
+    for _ in range(draw(st.integers(0, 3))):
+        if not options or draw(st.integers(0, 3)) == 0:
+            argv.append(draw(words))
+            continue
+        flag = draw(st.sampled_from(sorted(options)))
+        value = draw(st.sampled_from(options[flag]) | words if options[flag] else words)
+        argv += draw(st.sampled_from([[flag, value], [flag, value], [flag],
+                                      [f"{flag}={value}"]]))
+    return argv
+
+
+# A line argparse writes to stderr: the usage, wrapped lines indented, and
+# "prog: error: ...".
+_USAGE = re.compile(r"usage: |\s+\S|fmeakit( \w+)?: error: ")
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_argvs())
+@example(argv=["simulate", "--trials", str(2**63 - 1), "--rating", "05"])
+@example(argv=["analyze", "--bands", "1" * 21 + ",2,3", "-"])
+def test_any_argv_keeps_the_contract(tmp_path_factory, argv):
+    base = tmp_path_factory.getbasetemp()
+    files = dict(zip(_FILES, (base / "argv.csv", base / "argv.json", base / "argv-missing.csv",
+                              base / "argv.txt")))
+    if not files["<csv>"].exists():
+        files["<csv>"].write_bytes(emit_csv(microgrid_worksheet()))
+        files["<json>"].write_bytes(emit_json(microgrid_worksheet()))
+        files["<txt>"].write_bytes(b"")
+    argv = [str(files.get(word, word)) for word in argv]
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", write_through=True)
+    err = io.StringIO()
+    stdin = io.TextIOWrapper(io.BytesIO(b""), encoding="utf-8")
+    with mock.patch.object(sys, "stdin", stdin), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2), argv
+    if code != 0:
+        assert out.buffer.getvalue() == b"", argv
+    for line in err.getvalue().splitlines():
+        assert _LOCATED.match(line) or line.startswith("error: ") or _USAGE.match(line), \
+            (argv, line)
 
 
 def test_analyze_json_payload(fixture_csv, capsys):

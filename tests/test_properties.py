@@ -34,6 +34,7 @@ from fmeakit import (
 )
 from fmeakit.ingest import (
     _JSON_DEFAULTS,
+    _NARRATIVE_FIELDS,
     ParseError,
     _accept,
     _check_duplicates,
@@ -43,7 +44,15 @@ from fmeakit.ingest import (
     csv_text,
     json_text,
 )
-from fmeakit.report import analysis_payload, render_analysis_json
+from fmeakit.report import (
+    _md_lines,
+    analysis_payload,
+    render_analysis_csv,
+    render_analysis_json,
+    render_fmea_report,
+    render_ranked,
+    render_ranked_csv,
+)
 from fmeakit.scales import rating_from_text
 from fmeakit.worksheet import RATING_FIELDS
 
@@ -436,27 +445,38 @@ _spelt_text = st.text(st.sampled_from('"\\\x00\x01\x1f\x7f\u2028\u2029|\r\n aZ\u
                                       '\U0001F600'), max_size=10) | st.text(max_size=10)
 
 
+# Worksheet text that CSV, Markdown and line-by-line output treat with
+# care: quote, comma, CR, LF (and so CRLF), "|", NUL, tab, non-ASCII and
+# astral characters; often empty.
+_table_text = st.text('",\r\n|\x00\t\u00e9\U0001F600 a', max_size=6)
+
+
 @st.composite
-def analysis_sheets(draw):
-    """A worksheet of 0-40 rows read by parse_json or parse_csv. A row's
-    ratings are often a permutation of an earlier row's, an RPN collision;
-    its declared class is blank, mixed-case, absent or a label."""
+def analysis_sheets(draw, text=_spelt_text, max_rows=40, prose=False):
+    """A worksheet of 0 to *max_rows* rows read by parse_json or
+    parse_csv, its text drawn from *text*. A row's ratings are often a
+    permutation of an earlier row's, an RPN collision; its declared class
+    is blank, mixed-case, absent or a label. With *prose*, each narrative
+    is empty or drawn, and a JSON sheet has a title, which CSV cannot
+    carry."""
     records = []
-    for index in range(draw(st.integers(0, 40))):
+    for index in range(draw(st.integers(0, max_rows))):
         if records and draw(st.booleans()):
             earlier = draw(st.sampled_from(records))
             triple = draw(st.permutations([earlier[name] for name in RATING_FIELDS]))
         else:
             triple = [draw(ratings) for _ in RATING_FIELDS]
-        record = {"component": f"{draw(_spelt_text)} {index}",
-                  "failure_mode": draw(_spelt_text), **dict(zip(RATING_FIELDS, triple))}
+        record = {"component": f"{draw(text)} {index}",
+                  "failure_mode": draw(text), **dict(zip(RATING_FIELDS, triple))}
+        for name in _NARRATIVE_FIELDS if prose else ():
+            record[name] = draw(st.just("") | text)
         declared = draw(st.sampled_from(
             [None, "", " ", "Critical", " marginal ", "NEGLIGIBLE", "cAtAsTrOpHiC"]))
         if declared is not None:
             record["declared_classification"] = declared
         records.append(record)
     if draw(st.booleans()):
-        document = {"title": "", "entries": records}
+        document = {"title": draw(text) if prose else "", "entries": records}
         return parse_json(json.dumps(document, ensure_ascii=draw(st.booleans())).encode())
     rows = [[record.get(name, "") for name in CSV_COLUMNS] for record in records]
     return parse_csv(csv_text([CSV_COLUMNS, *rows]).encode())
@@ -470,3 +490,91 @@ def test_analysis_json_by_template_is_the_payload_written(ws, bands):
     parts = (ws, results, collisions(ws), [r for r in results if r.discrepancy],
              summary_stats(ws, bands), bands)
     assert render_analysis_json(*parts) == json_text(analysis_payload(*parts))
+
+
+# The ranked tables and the report, built as they were before each was
+# spelt from one template per row: the oracles of the tests below.
+
+def _ranked_cells(ws, results, missing, flags):
+    rows = []
+    for r in results:
+        entry = ws.entries[r.entry_index]
+        declared = missing if r.declared_class is None else r.declared_class.value
+        rows.append((r.rank, entry.component, entry.failure_mode, entry.triple.severity,
+                     entry.triple.occurrence, entry.triple.detection, r.rpn,
+                     r.computed_class.value, declared, flags[r.discrepancy]))
+    return rows
+
+
+def _markdown_table(ws, results):
+    row = "| " + " | ".join(["{}"] * 10) + " |"
+    return _md_lines([
+        row.format("Rank", "Component", "Failure Mode", "S", "O", "D", "RPN",
+                   "Computed Class", "Declared Class", "Discrepancy"),
+        "|" + "|".join([" --- "] * 10) + "|",
+        *(row.format(rank, component.replace("|", "\\|"), mode.replace("|", "\\|"), *rest)
+          for rank, component, mode, *rest in _ranked_cells(ws, results, "-", ("no", "yes")))])
+
+
+def _report_lines(ws, results):
+    lines = [f"# FMEA report: {ws.title}" if ws.title else "# FMEA report"]
+    for result in results:
+        entry = ws.entries[result.entry_index]
+        lines.append("")
+        lines.append(f"## {result.rank}. {entry.component}")
+        lines.append("")
+        lines.append(f"- Failure mode: {entry.failure_mode or '-'}")
+        lines.append(f"- Severity (S): {entry.triple.severity}")
+        lines.append(f"- Effect: {entry.effect or '-'}")
+        lines.append(f"- End effect: {entry.end_effect or '-'}")
+        lines.append(f"- Cause: {entry.cause or '-'}")
+        lines.append("- Classification: "
+                     + (entry.declared_classification or result.computed_class).value)
+        lines.append(f"- Occurrence (O): {entry.triple.occurrence}")
+        lines.append(f"- Prevention controls: {entry.prevention_controls or '-'}")
+        lines.append(f"- Detection controls: {entry.detection_controls or '-'}")
+        lines.append(f"- Detection (D): {entry.triple.detection}")
+        lines.append(f"- RPN: {result.rpn}")
+    return _md_lines(lines)
+
+
+_table_sheets = st.tuples(analysis_sheets(_table_text, max_rows=12, prose=True),
+                          band_triples.map(lambda cuts: ClassBands(*cuts)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_table_sheets)
+@example((parse_csv(",".join(CSV_COLUMNS).encode()), ClassBands(100, 200, 500)))
+def test_csv_tables_by_template_are_csv_text(sheet):
+    ws, bands = sheet
+    results = rank(ws, bands)
+    flagged = [r for r in results if r.discrepancy]
+    header = ["rank", "component", "failure_mode", *RATING_FIELDS, "rpn",
+              "computed_class", "declared_class", "discrepancy"]
+    assert render_ranked_csv(results, ws) == csv_text(
+        [header, *_ranked_cells(ws, results, "", ("false", "true"))])
+    discrepancy_table = csv_text(
+        [["rank", "component", "rpn", "computed_class", "declared_class"],
+         *([r.rank, ws.entries[r.entry_index].component, r.rpn, r.computed_class.value,
+            r.declared_class.value] for r in flagged)])
+    document = render_analysis_csv(ws, results, collisions(ws), flagged,
+                                   summary_stats(ws, bands), bands)
+    assert document.endswith("\n" + discrepancy_table)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_table_sheets)
+@example((parse_csv(",".join(CSV_COLUMNS).encode()), ClassBands(100, 200, 500)))
+def test_markdown_table_by_template_is_the_formatted_rows(sheet):
+    ws, bands = sheet
+    results = rank(ws, bands)
+    assert render_ranked(results, ws) == _markdown_table(ws, results)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_table_sheets)
+@example((parse_json(b'{"title": "a\\r\\nb", "entries": []}'), ClassBands(100, 200, 500)))
+def test_report_by_template_is_the_appended_lines(sheet):
+    ws, bands = sheet
+    results = rank(ws, bands)
+    assert render_fmea_report(ws, results) == _report_lines(ws, results)
