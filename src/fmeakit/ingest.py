@@ -27,7 +27,6 @@ from functools import cache
 from itertools import chain, repeat
 from json.encoder import encode_basestring
 from operator import itemgetter
-from types import SimpleNamespace
 
 from .scales import _RATINGS, _RATINGS_BY_TEXT, rating_from_text
 from .worksheet import (
@@ -50,10 +49,9 @@ CSV_COLUMNS = (*_REQUIRED_FIELDS, *RATING_FIELDS, *_NARRATIVE_FIELDS,
 # The order in which an entry's problems are reported.
 _PROBLEM_ORDER = (*_REQUIRED_FIELDS, *RATING_FIELDS, "declared_classification",
                   *_NARRATIVE_FIELDS)
-# The csv module refuses NUL before Python 3.11. Its reader gets this
-# stand-in for NUL instead, and its writer takes it as the escape
-# character, which lets NUL through as is. A lone surrogate: no text
-# decoded from UTF-8 holds one, and no UTF-8 output can.
+# The csv module's reader refuses NUL before Python 3.11, so it reads this
+# stand-in for NUL instead. A lone surrogate: no text decoded from UTF-8
+# holds one.
 _NUL_STAND_IN = "\ud800"
 _COLUMN_SET = frozenset(CSV_COLUMNS)
 # What an absent JSON field reads as: a missing narrative is empty text.
@@ -247,14 +245,17 @@ def parse_csv(data: bytes) -> Worksheet:
     """
     errors: list[ParseError] = []
     text = _decode(data, "csv")
-    if csv.field_size_limit() < len(text):  # no field is longer than the text
-        csv.field_size_limit(len(text))
+    # No field is longer than the text. The process's own limit is restored.
+    limit = csv.field_size_limit()
+    csv.field_size_limit(max(limit, len(text)))
     reader = csv.reader(io.StringIO(text.replace("\0", _NUL_STAND_IN), newline=""))
     try:
         rows = list(reader)
     except csv.Error as exc:
         raise ParseFailure([ParseError(
             "csv", f"malformed CSV: {exc}", row=reader.line_num)]) from exc
+    finally:
+        csv.field_size_limit(limit)
     if "\0" in text:
         rows = [[cell.replace(_NUL_STAND_IN, "\0") for cell in row] for row in rows]
 
@@ -478,23 +479,30 @@ def json_text(document: object) -> str:
     return "".join(out)
 
 
-def csv_text(rows: Iterable[Sequence[object]]) -> str:
-    """Rows as CSV text in this module's dialect, each row ended by a line feed.
+def _csv_cell(value: object) -> str:
+    """A value as a CSV cell, as the csv module's writer spells it: None as
+    an empty cell, any other value as str(value), quoted when it holds a
+    double quote, a comma, a line feed or a carriage return, each double
+    quote doubled. NUL is written as is."""
+    text = value if isinstance(value, str) else "" if value is None else str(value)
+    if '"' in text:
+        return '"%s"' % text.replace('"', '""')
+    if "," in text or "\n" in text or "\r" in text:
+        return '"%s"' % text
+    return text
 
-    A cell is quoted when it holds a comma, a double quote, a line feed or
-    a carriage return. The csv module quotes only the characters of its
-    line terminator (before Python 3.13), so rows are written ending in
-    CRLF, one write each, and the CR is dropped from each row's end. NUL
-    is written as is.
-    """
-    lines: list[str] = []
-    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n",
-               escapechar=_NUL_STAND_IN).writerows(rows)
-    return "\n".join([line[:-2] for line in lines] + [""])
+
+def csv_text(rows: Iterable[Sequence[object]]) -> str:
+    """Rows as CSV text in this module's dialect, each row ended by a line
+    feed and each cell spelt by _csv_cell. As the csv module writes it, a
+    row whose only cell is empty is written as "", so that it reads back
+    as one cell and not as no row."""
+    return "\n".join([",".join(map(_csv_cell, row)) or ('""' if row else "")
+                      for row in rows] + [""])
 
 
 def emit_csv(ws: Worksheet) -> bytes:
     """Serialize worksheet entries to deterministic CSV bytes (title is not
-    representable in CSV and is dropped; the csv writer spells None, a
-    missing class, as an empty cell)."""
+    representable in CSV and is dropped; None, a missing class, is an
+    empty cell)."""
     return csv_text([CSV_COLUMNS, *map(_values, ws.entries)]).encode("utf-8")

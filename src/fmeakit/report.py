@@ -9,6 +9,7 @@ tool, so any change to them is a contract change.
 
 from __future__ import annotations
 
+import json
 from collections.abc import Callable
 from json.encoder import encode_basestring
 from operator import methodcaller
@@ -21,7 +22,7 @@ from .analysis import (
     RpnResult,
     Summary,
 )
-from .ingest import _Spelt, csv_text, json_text
+from .ingest import _csv_cell, _Spelt, csv_text, json_text
 from .scales import DETECTION_SCALE, OCCURRENCE_SCALE, SEVERITY_SCALE
 from .simulate import SimResult
 from .worksheet import RATING_FIELDS, ClassLabel, Worksheet
@@ -41,15 +42,14 @@ _RANKED_FIELDS = (
     ("declared_class", "Declared Class"),
     ("discrepancy", "Discrepancy"),
 )
-_RANKED_KEYS = tuple(key for key, _ in _RANKED_FIELDS)
 _TABLE_FIELDS = tuple(field for field in _RANKED_FIELDS if field[1] is not None)
 _MD_ROW = "| " + " | ".join(["%s"] * len(_TABLE_FIELDS)) + " |"
 _MD_HEADER = (_MD_ROW % tuple(heading for _, heading in _TABLE_FIELDS),
               "|" + "|".join(" --- " for _ in _TABLE_FIELDS) + "|")
 # A "|" in a Markdown cell, escaped so that it does not end the cell.
 _md_cell = methodcaller("replace", "|", "\\|")
-# The ranked and discrepancy CSV tables, a template per row each; csv_text
-# would write the same text.
+# The ranked and discrepancy CSV tables, a template per row each; the text
+# cells are spelt by _csv_cell, as csv_text spells every cell.
 _CSV_HEADER = ",".join(key for key, _ in _TABLE_FIELDS) + "\n"
 _CSV_ROW = ",".join(["%s"] * len(_TABLE_FIELDS)) + "\n"
 _FLAGGED_CSV_HEADER = "rank,component,rpn,computed_class,declared_class\n"
@@ -72,11 +72,10 @@ _REPORT_SECTION = """
 - RPN: %s"""
 # Each label's text, looked up without an Enum descriptor call per row.
 _LABEL_TEXT = {label: label.value for label in ClassLabel}
-_LABELS_OR_NONE = {None: None, **_LABEL_TEXT}
 # One ranked record and one collision group as json_text spells them inside
 # the analysis document's lists: keys at six spaces, the record at four.
 _JSON_ROW = "{" + ",".join(f"\n      {encode_basestring(key)}: %s"
-                           for key in _RANKED_KEYS) + "\n    }"
+                           for key, _ in _RANKED_FIELDS) + "\n    }"
 _JSON_GROUP = ('{\n      "rpn": %s,\n      "members": [\n        %s\n      ],'
                '\n      "components": [\n        %s\n      ]\n    }')
 _JSON_LABELS = {None: "null", **{label: encode_basestring(text)
@@ -87,17 +86,6 @@ def _one_line(text: str) -> str:
     # CommonMark ends a line at LF, CRLF and a bare CR alike: each becomes a space.
     if "\n" in text or "\r" in text:
         return text.replace("\r\n", " ").replace("\n", " ").replace("\r", " ")
-    return text
-
-
-def _csv_cell(text: str) -> str:
-    """Worksheet text as a CSV cell, as csv_text writes it: quoted when it
-    holds a double quote, a comma, a line feed or a carriage return, each
-    double quote doubled."""
-    if '"' in text:
-        return '"%s"' % text.replace('"', '""')
-    if "," in text or "\n" in text or "\r" in text:
-        return '"%s"' % text
     return text
 
 
@@ -115,26 +103,6 @@ def _text_table(headers: tuple[str, ...], rows: list[tuple[str, ...]]) -> str:
     widths = [max(map(len, column)) for column in zip(headers, *rows)]
     fmt = "  ".join(f"{{:<{width}}}" for width in widths).format
     return "\n".join([fmt(*row).rstrip() for row in (headers, *rows)]) + "\n"
-
-
-def _ranked_values(ws: Worksheet, result: RpnResult, text=str,
-                   labels=_LABELS_OR_NONE, flags=(False, True)) -> tuple:
-    """One ranked row in _RANKED_FIELDS order: the two worksheet-text cells
-    passed through *text*, each class looked up in *labels* (its None key
-    is a missing declared class), the discrepancy flag as flags[0] (no) or
-    flags[1] (yes). The defaults give analysis_payload's values."""
-    entry = ws.entries[result.entry_index]
-    triple = entry.triple
-    return (
-        result.rank, result.entry_index, text(entry.component), text(entry.failure_mode),
-        triple.severity, triple.occurrence, triple.detection, result.rpn,
-        labels[result.computed_class], labels[result.declared_class],
-        flags[result.discrepancy],
-    )
-
-
-def _ranked_record(ws: Worksheet, result: RpnResult) -> dict[str, object]:
-    return dict(zip(_RANKED_KEYS, _ranked_values(ws, result)))
 
 
 def _table_rows(results: list[RpnResult], ws: Worksheet, cell: Callable[[str], str],
@@ -155,19 +123,6 @@ def _table_rows(results: list[RpnResult], ws: Worksheet, cell: Callable[[str], s
                      labels[result.computed_class], labels[result.declared_class],
                      flags[result.discrepancy]))
     return rows
-
-
-def render_ranked(results: list[RpnResult], ws: Worksheet) -> str:
-    """Render ranked results as a markdown table, rows in rank order."""
-    rows = _table_rows(results, ws, _md_cell, "-", ("no", "yes"))
-    return _md_lines([*_MD_HEADER, *map(_MD_ROW.__mod__, rows)])
-
-
-def render_ranked_csv(results: list[RpnResult], ws: Worksheet) -> str:
-    """Render ranked results as CSV: machine-readable headers, an empty
-    cell for a missing declared class, true/false for the flag."""
-    rows = _table_rows(results, ws, _csv_cell, "", ("false", "true"))
-    return _CSV_HEADER + "".join(map(_CSV_ROW.__mod__, rows))
 
 
 def render_fmea_report(ws: Worksheet, results: list[RpnResult]) -> str:
@@ -315,8 +270,9 @@ def render_analysis_markdown(ws: Worksheet, results: list[RpnResult],
                              groups: list[CollisionGroup],
                              flagged: list[RpnResult],
                              summary: Summary, bands: ClassBands) -> str:
-    """Assemble the full analysis document: ranked table, then collisions
-    and discrepancies."""
+    """Assemble the full analysis document: ranked table, rows in rank
+    order, then collisions and discrepancies; worksheet text as _md_lines
+    writes it."""
     lines = ["# FMEA analysis", ""]
     lines.append(f"Class bands: {bands.describe()}")
     if summary.entries:
@@ -329,13 +285,14 @@ def render_analysis_markdown(ws: Worksheet, results: list[RpnResult],
     else:
         lines.append("Entries: 0")
     lines.append("")
-    lines.append(render_ranked(results, ws).rstrip("\n"))
+    lines += _MD_HEADER
+    lines += map(_MD_ROW.__mod__, _table_rows(results, ws, _md_cell, "-", ("no", "yes")))
     lines.append("")
     lines.append("## Collisions")
     lines.append("")
     if groups:
         for group in groups:
-            names = _one_line("; ".join(ws.entries[i].component for i in group.members))
+            names = "; ".join(ws.entries[i].component for i in group.members)
             lines.append(f"- RPN {group.rpn} ({len(group.members)} entries): {names}")
     else:
         lines.append("(none)")
@@ -345,12 +302,12 @@ def render_analysis_markdown(ws: Worksheet, results: list[RpnResult],
     if flagged:
         for result in flagged:
             entry = ws.entries[result.entry_index]
-            lines.append(f"- {_one_line(entry.component)}: declared "
+            lines.append(f"- {entry.component}: declared "
                          f"{_LABEL_TEXT.get(result.declared_class, '-')}, computed "
                          f"{_LABEL_TEXT[result.computed_class]} (RPN {result.rpn})")
     else:
         lines.append("(none)")
-    return "\n".join(lines) + "\n"
+    return _md_lines(lines)
 
 
 def render_analysis_csv(ws: Worksheet, results: list[RpnResult],
@@ -358,19 +315,18 @@ def render_analysis_csv(ws: Worksheet, results: list[RpnResult],
                         flagged: list[RpnResult],
                         summary: Summary, bands: ClassBands) -> str:
     """Analysis as four CSV tables separated by blank lines: summary
-    (including the bands in force), ranked results, collisions,
-    discrepancies."""
+    (including the bands in force), ranked results (machine-readable
+    headers, an empty cell for a missing declared class, true/false for
+    the flag), collisions, discrepancies."""
     summary_rows: list[list[object]] = [
         ["entries", "rpn_min", "rpn_max", "rpn_mean",
          "marginal_min", "critical_min", "catastrophic_min"],
-        [summary.entries,
-         "" if summary.rpn_min is None else summary.rpn_min,
-         "" if summary.rpn_max is None else summary.rpn_max,
-         "" if summary.rpn_mean is None else _mean_text(summary),
+        [summary.entries, summary.rpn_min, summary.rpn_max,
+         None if summary.rpn_mean is None else _mean_text(summary),
          bands.marginal_min, bands.critical_min, bands.catastrophic_min],
     ]
-    out = [csv_text(summary_rows),
-           render_ranked_csv(results, ws)]
+    ranked = _table_rows(results, ws, _csv_cell, "", ("false", "true"))
+    out = [csv_text(summary_rows), _CSV_HEADER + "".join(map(_CSV_ROW.__mod__, ranked))]
 
     collision_rows: list[list[object]] = [["rpn", "member_indices", "member_components"]]
     for group in groups:
@@ -389,10 +345,29 @@ def render_analysis_csv(ws: Worksheet, results: list[RpnResult],
     return "\n".join(out)
 
 
-def _analysis_head(summary: Summary, bands: ClassBands) -> dict:
-    """The analysis document's first two keys, "bands" and "summary"."""
+def render_analysis_json(ws: Worksheet, results: list[RpnResult],
+                         groups: list[CollisionGroup], flagged: list[RpnResult],
+                         summary: Summary, bands: ClassBands) -> str:
+    """The analysis document, the --format json text. Each ranked record
+    and collision group is spelt from one template and handed to json_text
+    as it is; a flagged record's text serves both "results" and
+    "discrepancies"."""
+    entries = ws.entries
+    records = {}
+    for r in results:
+        entry = entries[r.entry_index]
+        triple = entry.triple
+        records[r.entry_index] = _JSON_ROW % (
+            r.rank, r.entry_index, encode_basestring(entry.component),
+            encode_basestring(entry.failure_mode), triple.severity, triple.occurrence,
+            triple.detection, r.rpn, _JSON_LABELS[r.computed_class],
+            _JSON_LABELS[r.declared_class], ("false", "true")[r.discrepancy])
+    spelt_groups = [_JSON_GROUP % (
+        group.rpn, ",\n        ".join(map(str, group.members)),
+        ",\n        ".join([encode_basestring(entries[i].component) for i in group.members]))
+        for group in groups]
     mean = summary.rpn_mean
-    return {
+    return json_text({
         "bands": [bands.marginal_min, bands.critical_min, bands.catastrophic_min],
         "summary": {
             "entries": summary.entries,
@@ -406,55 +381,17 @@ def _analysis_head(summary: Summary, bands: ClassBands) -> dict:
                 label.value: summary.declared_class_counts[label]
                 for label in ClassLabel},
         },
-    }
+        "results": _Spelt(records.values()),
+        "collisions": _Spelt(spelt_groups),
+        "discrepancies": _Spelt([records[r.entry_index] for r in flagged]),
+    })
 
 
 def analysis_payload(ws: Worksheet, results: list[RpnResult],
                      groups: list[CollisionGroup], flagged: list[RpnResult],
                      summary: Summary, bands: ClassBands) -> dict:
-    """Analysis as a JSON-serializable dict, the --format json document;
-    render_analysis_json writes the same document as text.
-
-    Each ranked record is built once: "results" and "discrepancies" share
-    the record dicts of the flagged entries.
-    """
-    records = {r.entry_index: _ranked_record(ws, r) for r in results}
-    return {
-        **_analysis_head(summary, bands),
-        "results": list(records.values()),
-        "collisions": [
-            {
-                "rpn": group.rpn,
-                "members": list(group.members),
-                "components": [ws.entries[i].component for i in group.members],
-            }
-            for group in groups
-        ],
-        "discrepancies": [records[r.entry_index] for r in flagged],
-    }
-
-
-def render_analysis_json(ws: Worksheet, results: list[RpnResult],
-                         groups: list[CollisionGroup], flagged: list[RpnResult],
-                         summary: Summary, bands: ClassBands) -> str:
-    """The analysis document as text, json_text(analysis_payload(...)) byte
-    for byte. Each ranked record and collision group is spelt from one
-    template instead of built as a dict and walked key by key; a flagged
-    record's text serves both "results" and "discrepancies"."""
-    spelling = (encode_basestring, _JSON_LABELS, ("false", "true"))
-    records = {r.entry_index: _JSON_ROW % _ranked_values(ws, r, *spelling)
-               for r in results}
-    entries = ws.entries
-    spelt_groups = [_JSON_GROUP % (
-        group.rpn, ",\n        ".join(map(str, group.members)),
-        ",\n        ".join([encode_basestring(entries[i].component) for i in group.members]))
-        for group in groups]
-    return json_text({
-        **_analysis_head(summary, bands),
-        "results": _Spelt(records.values()),
-        "collisions": _Spelt(spelt_groups),
-        "discrepancies": _Spelt([records[r.entry_index] for r in flagged]),
-    })
+    """The analysis document as a dict: render_analysis_json's text, read back."""
+    return json.loads(render_analysis_json(ws, results, groups, flagged, summary, bands))
 
 
 def render_simulation_text(results: list[SimResult],

@@ -10,6 +10,7 @@ is stored verbatim so label lookups are bit-exact.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 RATING_MIN = 1
@@ -165,35 +166,13 @@ OCCURRENCE_DENOMINATORS: dict[int, int] = {
 
 # Decision boundaries between adjacent ratings r and r+1, as the geometric
 # mean of their point rates (the scale is roughly log-spaced). Index i holds
-# the boundary between rating i+1 and i+2.
+# the boundary between rating i+1 and i+2; the boundaries strictly ascend.
 _RATE_BOUNDARIES: tuple[float, ...] = tuple(
     math.sqrt(
         (1.0 / OCCURRENCE_DENOMINATORS[r]) * (1.0 / OCCURRENCE_DENOMINATORS[r + 1])
     )
     for r in range(RATING_MIN, RATING_MAX)
 )
-
-
-def severity_row(rating: int) -> ScaleRow:
-    """Look up the severity scale row for a rating.
-
-    Raises:
-        RatingRangeError: if the rating is outside [1, 10].
-    """
-    check_rating(rating, "severity")
-    return SEVERITY_SCALE[RATING_MAX - rating]
-
-
-def occurrence_row(rating: int) -> ScaleRow:
-    """Look up the occurrence scale row for a rating."""
-    check_rating(rating, "occurrence")
-    return OCCURRENCE_SCALE[RATING_MAX - rating]
-
-
-def detection_row(rating: int) -> ScaleRow:
-    """Look up the detection scale row for a rating."""
-    check_rating(rating, "detection")
-    return DETECTION_SCALE[RATING_MAX - rating]
 
 
 def occurrence_rate(rating: int) -> OccurrenceRate:
@@ -217,10 +196,4 @@ def rating_from_rate(probability: float) -> int:
     """
     if not (0.0 < probability <= 1.0) or math.isnan(probability):
         raise ValueError(f"probability must be in (0, 1], got {probability!r}")
-    rating = RATING_MIN
-    for boundary in _RATE_BOUNDARIES:
-        if probability >= boundary:
-            rating += 1
-        else:
-            break
-    return rating
+    return RATING_MIN + bisect_right(_RATE_BOUNDARIES, probability)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import enum
 import json
 import math
@@ -337,6 +338,23 @@ def test_long_field_round_trips_in_both_formats():
                                   effect="x" * 200_000)])
     assert parse_csv(emit_csv(ws)) == ws
     assert parse_json(emit_json(ws)) == ws
+
+
+def test_parse_csv_restores_the_field_size_limit():
+    # parse_csv raises the csv module's limit for a long field, then puts
+    # back the process's own limit, whether the sheet parses or not.
+    before = csv.field_size_limit(131_072)
+    try:
+        long_sheet = emit_csv(Worksheet("", [FmeaEntry("Pump", "Seal leak",
+                                                       RatingTriple(1, 1, 1),
+                                                       effect="x" * 200_000)]))
+        assert parse_csv(long_sheet).entries[0].effect == "x" * 200_000
+        assert csv.field_size_limit() == 131_072
+        with pytest.raises(ParseFailure):
+            parse_csv(long_sheet.replace(b",1,1,1,", b",1,1,11,"))
+        assert csv.field_size_limit() == 131_072
+    finally:
+        csv.field_size_limit(before)
 
 
 def test_carriage_returns_round_trip_through_csv():

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 from hypothesis import example, given, settings
@@ -49,9 +51,8 @@ from fmeakit.report import (
     analysis_payload,
     render_analysis_csv,
     render_analysis_json,
+    render_analysis_markdown,
     render_fmea_report,
-    render_ranked,
-    render_ranked_csv,
 )
 from fmeakit.scales import rating_from_text
 from fmeakit.worksheet import RATING_FIELDS
@@ -489,11 +490,40 @@ def test_analysis_json_by_template_is_the_payload_written(ws, bands):
     results = rank(ws, bands)
     parts = (ws, results, collisions(ws), [r for r in results if r.discrepancy],
              summary_stats(ws, bands), bands)
-    assert render_analysis_json(*parts) == json_text(analysis_payload(*parts))
+    document = render_analysis_json(*parts)
+    assert document == json.dumps(json.loads(document), indent=2, ensure_ascii=False) + "\n"
+    assert document == json_text(analysis_payload(*parts))
 
 
 # The ranked tables and the report, built as they were before each was
-# spelt from one template per row: the oracles of the tests below.
+# spelt from one template per row, and CSV as the csv module writes it:
+# the oracles of the tests below.
+
+def _csv_module_text(rows):
+    """Rows as the csv module's writer spells them, each ended by a line
+    feed. Rows are written ending in CRLF, so that a bare CR or LF is
+    quoted before Python 3.13, and the CR is dropped; a lone surrogate is
+    the escape character, so that NUL goes through as is."""
+    lines = []
+    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n",
+               escapechar="\ud800").writerows(rows)
+    return "".join(line[:-2] + "\n" for line in lines)
+
+
+# Cells as CSV writers meet them: None, numbers, flags, and text pieced
+# from quote, comma, CR, LF, CRLF, NUL, tab, "|", non-ASCII and astral
+# characters, often empty.
+_csv_cells = st.none() | st.integers() | st.floats() | st.booleans() | st.lists(
+    st.sampled_from(['"', ",", "\r", "\n", "\r\n", "\0", "\t", "|", "\u00e9",
+                     "\U0001F600", "a", " ", ""]), max_size=5).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_csv_cells, max_size=4), max_size=6))
+@example([[""], [None], [], ["", ""], [None, None], ['"'], ["\r"], ["\0"]])
+def test_csv_text_is_the_csv_module_writer(rows):
+    assert csv_text(rows) == _csv_module_text(rows)
+
 
 def _ranked_cells(ws, results, missing, flags):
     rows = []
@@ -549,17 +579,24 @@ def test_csv_tables_by_template_are_csv_text(sheet):
     ws, bands = sheet
     results = rank(ws, bands)
     flagged = [r for r in results if r.discrepancy]
+    groups = collisions(ws)
     header = ["rank", "component", "failure_mode", *RATING_FIELDS, "rpn",
               "computed_class", "declared_class", "discrepancy"]
-    assert render_ranked_csv(results, ws) == csv_text(
+    ranked_table = _csv_module_text(
         [header, *_ranked_cells(ws, results, "", ("false", "true"))])
-    discrepancy_table = csv_text(
+    collision_table = _csv_module_text(
+        [["rpn", "member_indices", "member_components"],
+         *([g.rpn, ";".join(map(str, g.members)),
+            ";".join(ws.entries[i].component for i in g.members)] for g in groups)])
+    discrepancy_table = _csv_module_text(
         [["rank", "component", "rpn", "computed_class", "declared_class"],
          *([r.rank, ws.entries[r.entry_index].component, r.rpn, r.computed_class.value,
             r.declared_class.value] for r in flagged)])
-    document = render_analysis_csv(ws, results, collisions(ws), flagged,
+    document = render_analysis_csv(ws, results, groups, flagged,
                                    summary_stats(ws, bands), bands)
-    assert document.endswith("\n" + discrepancy_table)
+    # After the summary's two rows and a blank line, the other three tables.
+    assert document.split("\n", 3)[3] == "\n".join(
+        [ranked_table, collision_table, discrepancy_table])
 
 
 @settings(max_examples=200, deadline=None)
@@ -568,7 +605,12 @@ def test_csv_tables_by_template_are_csv_text(sheet):
 def test_markdown_table_by_template_is_the_formatted_rows(sheet):
     ws, bands = sheet
     results = rank(ws, bands)
-    assert render_ranked(results, ws) == _markdown_table(ws, results)
+    document = render_analysis_markdown(ws, results, collisions(ws),
+                                        [r for r in results if r.discrepancy],
+                                        summary_stats(ws, bands), bands)
+    assert "\r" not in document
+    table = [line for line in document.split("\n") if line.startswith("| ")]
+    assert table == _markdown_table(ws, results).split("\n")[:-1]
 
 
 @settings(max_examples=200, deadline=None)

@@ -12,11 +12,8 @@ from fmeakit import (
     SEVERITY_SCALE,
     RatingRangeError,
     check_rating,
-    detection_row,
     occurrence_rate,
-    occurrence_row,
     rating_from_rate,
-    severity_row,
 )
 
 # Oracle: the "1 in N" denominators, written out by hand so the test does
@@ -36,30 +33,35 @@ def test_tables_have_ten_rows_descending():
         assert [row.rating for row in table] == list(range(10, 0, -1))
 
 
+def row(table, rating):
+    """A scale's row for *rating*: the tables run 10 down to 1."""
+    return table[10 - rating]
+
+
 def test_severity_text_spot_checks():
-    assert severity_row(10).label == "Hazardous without warning"
-    assert severity_row(9).label == "Hazardous with warning"
+    assert row(SEVERITY_SCALE, 10).label == "Hazardous without warning"
+    assert row(SEVERITY_SCALE, 9).label == "Hazardous with warning"
     # the traditional wording for rating 8 ends mid-phrase; kept as printed
-    assert severity_row(8).criteria == (
+    assert row(SEVERITY_SCALE, 8).criteria == (
         "Operation of system or product is broken down without compromising safe")
-    assert severity_row(1).label == "None"
-    assert severity_row(1).criteria == "No effect"
+    assert row(SEVERITY_SCALE, 1).label == "None"
+    assert row(SEVERITY_SCALE, 1).criteria == "No effect"
 
 
 def test_occurrence_text_spot_checks():
-    assert occurrence_row(10).label == "Extremely high (inevitable failure)"
-    assert occurrence_row(10).criteria == "≥ 1 in 2"
-    assert occurrence_row(5).criteria == "1 in 400"
-    assert occurrence_row(4).criteria == "1 in 2000"
-    assert occurrence_row(3).criteria == "1 in 15,000"
-    assert occurrence_row(1).label == "Nearly impossible"
-    assert occurrence_row(1).criteria == "≤ 1 in 1,500,000"
+    assert row(OCCURRENCE_SCALE, 10).label == "Extremely high (inevitable failure)"
+    assert row(OCCURRENCE_SCALE, 10).criteria == "≥ 1 in 2"
+    assert row(OCCURRENCE_SCALE, 5).criteria == "1 in 400"
+    assert row(OCCURRENCE_SCALE, 4).criteria == "1 in 2000"
+    assert row(OCCURRENCE_SCALE, 3).criteria == "1 in 15,000"
+    assert row(OCCURRENCE_SCALE, 1).label == "Nearly impossible"
+    assert row(OCCURRENCE_SCALE, 1).criteria == "≤ 1 in 1,500,000"
 
 
 def test_detection_text_spot_checks():
-    assert detection_row(10).label == "Absolutely impossible"
-    assert detection_row(1).label == "Almost certain"
-    assert detection_row(1).criteria.startswith(
+    assert row(DETECTION_SCALE, 10).label == "Absolutely impossible"
+    assert row(DETECTION_SCALE, 1).label == "Almost certain"
+    assert row(DETECTION_SCALE, 1).criteria.startswith(
         "Design control will almost certainly detect")
 
 
@@ -118,8 +120,7 @@ def test_check_rating_error_carries_field_name():
 
 
 def test_row_lookups_reject_out_of_range():
-    for lookup in (severity_row, occurrence_row, detection_row, occurrence_rate):
-        with pytest.raises(RatingRangeError):
-            lookup(0)
-        with pytest.raises(RatingRangeError):
-            lookup(11)
+    with pytest.raises(RatingRangeError):
+        occurrence_rate(0)
+    with pytest.raises(RatingRangeError):
+        occurrence_rate(11)
