@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .scales import _RATINGS, RATING_MAX
+from .scales import RATING_MAX, all_ratings
 from .worksheet import ClassLabel, RatingTriple, Worksheet, _filled, repeated_keys
 
 RPN_MIN = 1
@@ -156,10 +156,8 @@ def rank(ws: Worksheet, bands: ClassBands = DEFAULT_BANDS) -> list[RpnResult]:
     """
     entries = ws.entries
     triples = [entry.triple for entry in entries]
-    # Types are taken before any set of values: True and 5.0 equal 1 and 5.
-    ratings = [t.severity for t in triples] + [t.occurrence for t in triples] \
-        + [t.detection for t in triples]
-    if not (set(map(type, ratings)) <= {int} and set(ratings) <= _RATINGS):
+    if not all_ratings([t.severity for t in triples], [t.occurrence for t in triples],
+                       [t.detection for t in triples]):
         raise ValueError("rank needs every rating on the 1-10 scale")
     values = list(map(rpn, triples))
     # Stable sorts: by component ascending, then by (rpn, s, o, d) packed

@@ -82,13 +82,23 @@ def _load(path: str) -> Worksheet:
         raise _InputError([str(err) for err in exc.errors]) from exc
 
 
-def _bands_type(text: str) -> ClassBands:
-    parts = text.split(",")
-    try:  # not three parts, a part not ASCII digits, or one past int()'s limit
-        if not all(part.isascii() and part.isdigit() for part in parts):
+def _ascii_int(text: str) -> int:
+    """*text* as an int if it is ASCII digits only: a sign, a space, an
+    underscore or a non-ASCII digit is refused, not coerced, and so is a
+    number past int()'s digit limit."""
+    try:
+        if not (text.isascii() and text.isdigit()):
             raise ValueError(text)
-        b1, b2, b3 = map(int, parts)
+        return int(text)
     except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer in ASCII digits, got {text!r}") from exc
+
+
+def _bands_type(text: str) -> ClassBands:
+    try:  # not three parts, or a part that _ascii_int refuses
+        b1, b2, b3 = map(_ascii_int, text.split(","))
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise argparse.ArgumentTypeError(
             f"expected three comma-separated integers, got {text!r}") from exc
     try:
@@ -203,9 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worksheet path; omit when using --rating")
     p.add_argument("--rating", type=_rating_type, metavar="R",
                    help="simulate a single occurrence rating (1-10)")
-    p.add_argument("--trials", type=int, default=1_000_000, metavar="N",
+    p.add_argument("--trials", type=_ascii_int, default=1_000_000, metavar="N",
                    help="Bernoulli opportunities per entry (default 1000000)")
-    p.add_argument("--seed", type=int, default=0, metavar="S",
+    p.add_argument("--seed", type=_ascii_int, default=0, metavar="S",
                    help="base PRNG seed (default 0)")
     p.set_defaults(handler=_cmd_simulate)
 

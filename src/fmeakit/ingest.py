@@ -25,10 +25,9 @@ from dataclasses import dataclass
 from decimal import Decimal
 from functools import cache
 from itertools import chain, repeat
-from json.encoder import encode_basestring
 from operator import itemgetter
 
-from .scales import _RATINGS, _RATINGS_BY_TEXT, rating_from_text
+from .scales import _RATINGS_BY_TEXT, all_ratings, rating_from_text
 from .worksheet import (
     _LABELS_BY_TEXT,
     RATING_FIELDS,
@@ -148,8 +147,7 @@ def _accept(columns: Sequence[Sequence[object]]) -> list[FmeaEntry] | None:
     if not (set(map(type, chain(components, failure_modes))) <= {str}
             and narrative_types <= {str, type(None)}
             and all(map(str.strip, components))
-            and set(map(type, chain(severities, occurrences, detections))) <= {int}
-            and set(chain(severities, occurrences, detections)) <= _RATINGS
+            and all_ratings(severities, occurrences, detections)
             and set(map(type, declared)) <= {str, type(None)}
             and len(set(zip(components, failure_modes))) == len(components)):
         return None
@@ -390,93 +388,15 @@ def emit_json(ws: Worksheet) -> bytes:
     """Serialize a worksheet to deterministic JSON bytes.
 
     Fixed field order (the CSV column order), entries in worksheet order,
-    UTF-8, LF newlines. parse_json(emit_json(ws)) reconstructs ws exactly.
+    as the json module writes it with a two-space indent and non-ASCII
+    kept, UTF-8, one final line feed. parse_json(emit_json(ws))
+    reconstructs ws exactly.
     """
     document = {
         "title": ws.title,
         "entries": [dict(zip(CSV_COLUMNS, _values(e))) for e in ws.entries],
     }
-    return json_text(document).encode("utf-8")
-
-
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _float_text(value: float) -> str:
-    text = float.__repr__(value)
-    return _NONFINITE.get(text, text)
-
-
-class _Spelt(list):
-    """A list whose items are text already spelt as JSON, each at the
-    indent of the place it fills."""
-
-    __slots__ = ()
-
-
-# Scalar type -> its JSON spelling, as the json module spells it with
-# ensure_ascii=False (NaN and the infinities as JavaScript names them).
-_SPELLERS = {str: encode_basestring, int: int.__repr__, float: _float_text,
-             bool: ("false", "true").__getitem__, type(None): {None: "null"}.__getitem__}
-
-
-def _json(value: object, outer: str, out: list[str]) -> None:
-    """Append value as indented JSON to *out*; *outer* is the line break and
-    indent before its closing bracket. A scalar part is spelt in place, not
-    by a call, and a _Spelt item is appended as it is: only the caller's
-    final join copies it."""
-    kind = type(value)
-    if kind in _SPELLERS:
-        out.append(_SPELLERS[kind](value))
-        return
-    if kind is not dict and kind is not list and kind is not tuple and kind is not _Spelt:
-        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-    if not value:
-        out.append("{}" if kind is dict else "[]")
-        return
-    inner = outer + "  "
-    separator, comma = ("{" if kind is dict else "[") + inner, "," + inner
-    if kind is _Spelt:
-        out += chain.from_iterable(zip(chain([separator], repeat(comma)), value))
-        out.append(outer + "]")
-        return
-    spelling, append = _SPELLERS.get, out.append
-    if kind is dict:
-        for key, item in value.items():
-            if spell := spelling(type(item)):
-                append(f"{separator}{encode_basestring(key)}: {spell(item)}")
-            else:
-                append(f"{separator}{encode_basestring(key)}: ")
-                _json(item, inner, out)
-            separator = comma
-        append(outer + "}")
-        return
-    for item in value:
-        if spell := spelling(type(item)):
-            append(separator + spell(item))
-        else:
-            append(separator)
-            _json(item, inner, out)
-        separator = comma
-    append(outer + "]")
-
-
-def json_text(document: object) -> str:
-    """A JSON document as text: two-space indent, non-ASCII kept, one final LF.
-
-    The same text as the json module writes with indent=2 and
-    ensure_ascii=False, plus a line feed. That module gives up its C
-    encoder when asked to indent; this writer walks only the containers in
-    Python, spells each scalar with the functions the json module uses,
-    and joins all the pieces once. Values must be of exactly these types:
-    dict with str keys, list, tuple, str, int, float, bool and None. Any
-    other type, a subclass included, raises TypeError; only this module's
-    _Spelt list, whose items are already JSON, is written as it is.
-    """
-    out: list[str] = []
-    _json(document, "\n", out)
-    out.append("\n")
-    return "".join(out)
+    return (json.dumps(document, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
 
 
 def _csv_cell(value: object) -> str:

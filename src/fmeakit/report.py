@@ -10,7 +10,8 @@ tool, so any change to them is a contract change.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
+from itertools import chain, repeat
 from json.encoder import encode_basestring
 from operator import methodcaller
 
@@ -22,7 +23,7 @@ from .analysis import (
     RpnResult,
     Summary,
 )
-from .ingest import _csv_cell, _Spelt, csv_text, json_text
+from .ingest import _csv_cell, csv_text
 from .scales import DETECTION_SCALE, OCCURRENCE_SCALE, SEVERITY_SCALE
 from .simulate import SimResult
 from .worksheet import RATING_FIELDS, ClassLabel, Worksheet
@@ -72,8 +73,16 @@ _REPORT_SECTION = """
 - RPN: %s"""
 # Each label's text, looked up without an Enum descriptor call per row.
 _LABEL_TEXT = {label: label.value for label in ClassLabel}
-# One ranked record and one collision group as json_text spells them inside
-# the analysis document's lists: keys at six spaces, the record at four.
+# The analysis document in pieces, as json.dumps spells it with indent=2:
+# the head (bands and summary) up to the "results" list, then one ranked
+# record and one collision group as items of a top-level list, keys at six
+# spaces and the item at four.
+_JSON_COUNTS = "{" + ",".join(f"\n      {encode_basestring(text)}: %s"
+                              for text in _LABEL_TEXT.values()) + "\n    }"
+_JSON_HEAD = ('{\n  "bands": [\n    %s,\n    %s,\n    %s\n  ],\n  "summary": {'
+              '\n    "entries": %s,\n    "rpn_min": %s,\n    "rpn_max": %s,'
+              '\n    "rpn_mean": %s,\n    "computed_class_counts": ' + _JSON_COUNTS
+              + ',\n    "declared_class_counts": ' + _JSON_COUNTS + '\n  },\n  "results": ')
 _JSON_ROW = "{" + ",".join(f"\n      {encode_basestring(key)}: %s"
                            for key, _ in _RANKED_FIELDS) + "\n    }"
 _JSON_GROUP = ('{\n      "rpn": %s,\n      "members": [\n        %s\n      ],'
@@ -97,12 +106,6 @@ def _md_lines(lines: list[str]) -> str:
     if "\r" in text or text.count("\n") > len(lines):
         text = "\n".join(map(_one_line, lines)) + "\n"
     return text
-
-
-def _text_table(headers: tuple[str, ...], rows: list[tuple[str, ...]]) -> str:
-    widths = [max(map(len, column)) for column in zip(headers, *rows)]
-    fmt = "  ".join(f"{{:<{width}}}" for width in widths).format
-    return "\n".join([fmt(*row).rstrip() for row in (headers, *rows)]) + "\n"
 
 
 def _table_rows(results: list[RpnResult], ws: Worksheet, cell: Callable[[str], str],
@@ -345,13 +348,27 @@ def render_analysis_csv(ws: Worksheet, results: list[RpnResult],
     return "\n".join(out)
 
 
+def _json_list(out: list[str], items: Iterable[str], after: str) -> None:
+    """Append a top-level list of the analysis document to *out*: its
+    items, already spelt, each after a separator interleaved in C, the
+    first separator then made the opening bracket; then *after*."""
+    start = len(out)
+    out += chain.from_iterable(zip(repeat(",\n    "), items))
+    if len(out) == start:
+        out.append("[]" + after)
+    else:
+        out[start] = "[\n    "
+        out.append("\n  ]" + after)
+
+
 def render_analysis_json(ws: Worksheet, results: list[RpnResult],
                          groups: list[CollisionGroup], flagged: list[RpnResult],
                          summary: Summary, bands: ClassBands) -> str:
-    """The analysis document, the --format json text. Each ranked record
-    and collision group is spelt from one template and handed to json_text
-    as it is; a flagged record's text serves both "results" and
-    "discrepancies"."""
+    """The analysis document, the --format json text, as json.dumps writes
+    it with indent=2 and ensure_ascii=False plus a line feed. The head,
+    each ranked record and each collision group is spelt from one
+    template, a flagged record's text serves both "results" and
+    "discrepancies", and all the pieces are joined once."""
     entries = ws.entries
     records = {}
     for r in results:
@@ -366,25 +383,17 @@ def render_analysis_json(ws: Worksheet, results: list[RpnResult],
         group.rpn, ",\n        ".join(map(str, group.members)),
         ",\n        ".join([encode_basestring(entries[i].component) for i in group.members]))
         for group in groups]
-    mean = summary.rpn_mean
-    return json_text({
-        "bands": [bands.marginal_min, bands.critical_min, bands.catastrophic_min],
-        "summary": {
-            "entries": summary.entries,
-            "rpn_min": summary.rpn_min,
-            "rpn_max": summary.rpn_max,
-            "rpn_mean": None if mean is None else float(_mean_text(summary)),
-            "computed_class_counts": {
-                label.value: summary.computed_class_counts[label]
-                for label in ClassLabel},
-            "declared_class_counts": {
-                label.value: summary.declared_class_counts[label]
-                for label in ClassLabel},
-        },
-        "results": _Spelt(records.values()),
-        "collisions": _Spelt(spelt_groups),
-        "discrepancies": _Spelt([records[r.entry_index] for r in flagged]),
-    })
+    rpn_stats = (summary.rpn_min, summary.rpn_max,
+                 None if summary.rpn_mean is None else float(_mean_text(summary)))
+    out = [_JSON_HEAD % (
+        bands.marginal_min, bands.critical_min, bands.catastrophic_min, summary.entries,
+        *["null" if value is None else value for value in rpn_stats],
+        *[summary.computed_class_counts[label] for label in ClassLabel],
+        *[summary.declared_class_counts[label] for label in ClassLabel])]
+    _json_list(out, records.values(), ',\n  "collisions": ')
+    _json_list(out, spelt_groups, ',\n  "discrepancies": ')
+    _json_list(out, [records[r.entry_index] for r in flagged], "\n}\n")
+    return "".join(out)
 
 
 def analysis_payload(ws: Worksheet, results: list[RpnResult],
@@ -396,29 +405,24 @@ def analysis_payload(ws: Worksheet, results: list[RpnResult],
 
 def render_simulation_text(results: list[SimResult],
                            components: list[str] | None = None) -> str:
-    """Simulation results as an aligned text table.
+    """Simulation results as an aligned text table, one template per row:
+    each column left-aligned to its widest cell, two spaces apart, the
+    last one unpadded.
 
     When components is given (worksheet mode) a leading component column
-    identifies each row.
+    identifies each row, each line break in it a space.
     """
     headers: tuple[str, ...] = ("rating_in", "trials", "failures",
                                 "empirical_rate", "rating_out", "agrees")
-    rows = []
-    for i, result in enumerate(results):
-        row = (
-            str(result.rating_in),
-            str(result.trials),
-            str(result.failures),
-            f"{result.empirical_rate:.8f}",
-            str(result.rating_out),
-            "yes" if result.agrees else "no",
-        )
-        if components is not None:
-            row = (_one_line(components[i]),) + row
-        rows.append(row)
+    rows = [(str(result.rating_in), str(result.trials), str(result.failures),
+             f"{result.empirical_rate:.8f}", str(result.rating_out),
+             "yes" if result.agrees else "no") for result in results]
     if components is not None:
-        headers = ("component",) + headers
-    return _text_table(headers, rows)
+        headers = ("component", *headers)
+        rows = [(_one_line(component), *row) for component, row in zip(components, rows)]
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
+    row = "".join(["%%-%ds  " % width for width in widths[:-1]]) + "%s\n"
+    return "".join([row % cells for cells in (headers, *rows)])
 
 
 _SCALES = tuple(zip(RATING_FIELDS, (SEVERITY_SCALE, OCCURRENCE_SCALE, DETECTION_SCALE)))

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections.abc import Collection
 from dataclasses import dataclass
+from itertools import chain
 
 RATING_MIN = 1
 RATING_MAX = 10
@@ -29,8 +31,15 @@ def rating_message(value: object) -> str:
 
 
 _RATINGS_BY_TEXT = {str(value): value for value in range(RATING_MIN, RATING_MAX + 1)}
-# Every rating. True and 1.0 test as members too, so a check tests the type apart.
+# Every rating. True and 1.0 test as members too, so all_ratings tests the type apart.
 _RATINGS = frozenset(_RATINGS_BY_TEXT.values())
+
+
+def all_ratings(*columns: Collection[object]) -> bool:
+    """True if every value in every column is a rating, as is_rating has
+    it, tested in two passes over all the values: their types, then the
+    values themselves."""
+    return set(map(type, chain(*columns))) <= {int} and set(chain(*columns)) <= _RATINGS
 
 
 def rating_from_text(text: str) -> int | None:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scales import _RATINGS, OCCURRENCE_DENOMINATORS, check_rating, rating_from_rate
+from .scales import OCCURRENCE_DENOMINATORS, all_ratings, check_rating, rating_from_rate
 from .worksheet import Worksheet, _filled
 
 _SEED_MAX = 2**64 - 1
@@ -143,7 +143,7 @@ def _simulate(ratings: list[int], cfg: SimConfig,
               key_words: np.ndarray) -> list[SimResult]:
     """Draw rating i from the stream whose spawn key is row i of key_words."""
     # A bare lookup would take True as rating 1; ratings are never coerced.
-    if not (set(map(type, ratings)) <= {int} and set(ratings) <= _RATINGS):
+    if not all_ratings(ratings):
         for rating in ratings:  # raises for the first bad one
             check_rating(rating, "occurrence")
     bit_generator = np.random.PCG64(0)  # its state is replaced before each draw

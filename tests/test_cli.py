@@ -337,6 +337,19 @@ def test_simulate_rating_is_never_coerced(text, capsys):
                                  f"in ASCII digits, got {text!r}\n")
 
 
+# int() reads the first seven; the last is past int()'s digit limit.
+@pytest.mark.parametrize("text", ["1_000", "+7", " 7", "7 ", "\u0661\u0660\u0660\u0660",
+                                  "\uff17", "-7", "7.0", "1e3", "",
+                                  pytest.param("9" * 5000, id="5000-digits")])
+@pytest.mark.parametrize("option", ["--trials", "--seed"])
+def test_simulate_integers_are_ascii_digits(option, text, capsys):
+    assert run(["simulate", "--rating", "5", "--trials", "1000", option, text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"argument {option}: expected an integer in ASCII "
+                                 f"digits, got {text!r}\n")
+
+
 def test_simulate_rating_takes_leading_zeros_as_csv_does(capsys):
     assert run(["simulate", "--rating", "05", "--trials", "1000"]) == 0
     padded = capsys.readouterr()

@@ -3,13 +3,9 @@
 from __future__ import annotations
 
 import csv
-import enum
 import json
-import math
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from fmeakit import (
     CSV_COLUMNS,
@@ -26,7 +22,6 @@ from fmeakit import (
     parse_csv,
     parse_json,
 )
-from fmeakit.ingest import json_text
 
 HEADER = ",".join(CSV_COLUMNS)
 
@@ -387,55 +382,6 @@ def test_emit_json_keeps_non_ascii_readable():
     data = emit_json(ws)
     assert "µgrid".encode("utf-8") in data
     assert parse_json(data) == ws
-
-
-# Any code point, lone surrogates included, with the characters JSON must
-# escape or that json.dumps(ensure_ascii=False) keeps as they are drawn often.
-_JSON_TEXT = st.text(st.characters(exclude_categories=())
-                     | st.sampled_from('"\\/\x00\x1f\x7f\u2028\u2029\ud800\udfff\U0001f600'))
-_JSON_SCALARS = (st.none() | st.booleans() | _JSON_TEXT
-                 | st.integers(min_value=-2**80, max_value=2**80)
-                 | st.floats() | st.sampled_from([-0.0, 1e16, math.nan, math.inf, -math.inf]))
-_JSON_VALUES = st.recursive(
-    _JSON_SCALARS,
-    lambda children: st.lists(children, max_size=4)
-    | st.lists(children, max_size=4).map(tuple)
-    | st.dictionaries(_JSON_TEXT, children, max_size=4),
-    max_leaves=20)
-
-
-@settings(max_examples=200, deadline=None)
-@given(_JSON_VALUES)
-@example({"a": [math.nan, math.inf, -math.inf, -0.0, 1e16, 0.1, True, False, None],
-          "b": (), "c": {}, "d": [], "e": {"f": ((1,), [])},
-          "g": [2**64, -2**64 - 1, 0, -1], "h": '"\\\x00\u2028\ud800 µ\U0001f600'})
-@example(True)
-@example(None)
-@example(math.nan)
-@example("")
-def test_json_text_equals_indented_json_dumps(document):
-    assert json_text(document) == json.dumps(document, indent=2, ensure_ascii=False) + "\n"
-
-
-class _Level(enum.IntEnum):
-    LOW = 1
-
-
-def test_json_text_takes_exact_types_and_str_keys():
-    # Narrower than the json module, which also writes subclasses and
-    # number, bool and None keys; no document fmeakit writes holds one.
-    for document in ({1: "one"}, _Level.LOW, ["x", _Level.LOW]):
-        with pytest.raises(TypeError):
-            json_text(document)
-
-
-@pytest.mark.parametrize("bad", [{1, 2}, object(), {"a": [frozenset()]}, (b"x",)],
-                         ids=["set", "object", "nested-frozenset", "bytes-in-tuple"])
-def test_json_text_rejects_what_json_dumps_rejects(bad):
-    with pytest.raises(TypeError):
-        json.dumps(bad, indent=2, ensure_ascii=False)
-    with pytest.raises(TypeError):
-        json_text(bad)
 
 
 def test_emit_csv_header_is_the_column_tuple(fixture_ws):

@@ -21,11 +21,13 @@ from fmeakit import (
     ParseFailure,
     RatingTriple,
     RpnResult,
+    SimResult,
     Summary,
     Worksheet,
     classify,
     collisions,
     emit_json,
+    microgrid_worksheet,
     parse_csv,
     parse_json,
     rank,
@@ -44,15 +46,14 @@ from fmeakit.ingest import (
     _may_hold_lone_surrogate,
     _unicode_problem,
     csv_text,
-    json_text,
 )
 from fmeakit.report import (
     _md_lines,
-    analysis_payload,
     render_analysis_csv,
     render_analysis_json,
     render_analysis_markdown,
     render_fmea_report,
+    render_simulation_text,
 )
 from fmeakit.scales import rating_from_text
 from fmeakit.worksheet import RATING_FIELDS
@@ -483,16 +484,52 @@ def analysis_sheets(draw, text=_spelt_text, max_rows=40, prose=False):
     return parse_csv(csv_text([CSV_COLUMNS, *rows]).encode())
 
 
+def _analysis_dicts(ws, results, groups, flagged, summary, bands):
+    """The analysis document as dicts, built as it was before each ranked
+    record was spelt from a template: the oracle of the test below."""
+    labels = {None: None, **{label: label.value for label in ClassLabel}}
+    records = {}
+    for r in results:
+        entry = ws.entries[r.entry_index]
+        records[r.entry_index] = {
+            "rank": r.rank, "entry_index": r.entry_index, "component": entry.component,
+            "failure_mode": entry.failure_mode, "severity": entry.triple.severity,
+            "occurrence": entry.triple.occurrence, "detection": entry.triple.detection,
+            "rpn": r.rpn, "computed_class": labels[r.computed_class],
+            "declared_class": labels[r.declared_class], "discrepancy": r.discrepancy}
+    mean = summary.rpn_mean
+    return {
+        "bands": [bands.marginal_min, bands.critical_min, bands.catastrophic_min],
+        "summary": {
+            "entries": summary.entries,
+            "rpn_min": summary.rpn_min,
+            "rpn_max": summary.rpn_max,
+            "rpn_mean": None if mean is None else float(f"{float(mean):.2f}"),
+            "computed_class_counts": {
+                label.value: summary.computed_class_counts[label] for label in ClassLabel},
+            "declared_class_counts": {
+                label.value: summary.declared_class_counts[label] for label in ClassLabel},
+        },
+        "results": list(records.values()),
+        "collisions": [{"rpn": g.rpn, "members": list(g.members),
+                        "components": [ws.entries[i].component for i in g.members]}
+                       for g in groups],
+        "discrepancies": [records[r.entry_index] for r in flagged],
+    }
+
+
 @settings(max_examples=200, deadline=None)
 @given(analysis_sheets(), band_triples.map(lambda cuts: ClassBands(*cuts)))
 @example(parse_csv(",".join(CSV_COLUMNS).encode()), ClassBands(100, 200, 500))
+@example(microgrid_worksheet(), ClassBands(100, 200, 500))
 def test_analysis_json_by_template_is_the_payload_written(ws, bands):
     results = rank(ws, bands)
     parts = (ws, results, collisions(ws), [r for r in results if r.discrepancy],
              summary_stats(ws, bands), bands)
     document = render_analysis_json(*parts)
-    assert document == json.dumps(json.loads(document), indent=2, ensure_ascii=False) + "\n"
-    assert document == json_text(analysis_payload(*parts))
+    oracle = _analysis_dicts(*parts)
+    assert json.loads(document) == oracle
+    assert document == json.dumps(oracle, indent=2, ensure_ascii=False) + "\n"
 
 
 # The ranked tables and the report, built as they were before each was
@@ -620,3 +657,48 @@ def test_report_by_template_is_the_appended_lines(sheet):
     ws, bands = sheet
     results = rank(ws, bands)
     assert render_fmea_report(ws, results) == _report_lines(ws, results)
+
+
+def _simulation_table(results, components=None):
+    """The simulation table as it was written before it was spelt from one
+    template per row: each row formatted, then stripped at the right."""
+    headers = ("rating_in", "trials", "failures", "empirical_rate", "rating_out", "agrees")
+    rows = []
+    for i, result in enumerate(results):
+        row = (str(result.rating_in), str(result.trials), str(result.failures),
+               f"{result.empirical_rate:.8f}", str(result.rating_out),
+               "yes" if result.agrees else "no")
+        if components is not None:
+            one_line = components[i].replace("\r\n", " ").replace("\n", " ").replace("\r", " ")
+            row = (one_line,) + row
+        rows.append(row)
+    if components is not None:
+        headers = ("component",) + headers
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
+    fmt = "  ".join(f"{{:<{width}}}" for width in widths).format
+    return "\n".join([fmt(*row).rstrip() for row in (headers, *rows)]) + "\n"
+
+
+@st.composite
+def sim_results(draw):
+    trials = draw(st.integers(1, 2**63 - 1))
+    failures = draw(st.integers(0, trials))
+    return SimResult(draw(ratings), trials, failures, failures / trials, draw(ratings),
+                     draw(st.booleans()))
+
+
+# Component text with LF, CR, CRLF, spaces, non-ASCII and wide characters.
+_component_text = st.lists(st.sampled_from(
+    ["\n", "\r", "\r\n", " ", "\t", "a", "Pump", "\u00e9", "\u6f22\u5b57", "\U0001F600"]),
+    min_size=1, max_size=6).map("".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(sim_results(), _component_text), max_size=12), st.booleans())
+@example([], True)
+@example([], False)
+def test_simulation_table_by_template_is_the_stripped_rows(rows, worksheet_mode):
+    results = [result for result, _ in rows]
+    components = [component for _, component in rows] if worksheet_mode else None
+    assert render_simulation_text(results, components) \
+        == _simulation_table(results, components)

@@ -15,6 +15,7 @@ from fmeakit import (
     occurrence_rate,
     rating_from_rate,
 )
+from fmeakit.scales import all_ratings
 
 # Oracle: the "1 in N" denominators, written out by hand so the test does
 # not depend on the module's own table.
@@ -110,6 +111,18 @@ def test_check_rating_rejects_bad_values():
     for bad in (0, 11, -3, 5.0, "5", None, True, False):
         with pytest.raises(RatingRangeError):
             check_rating(bad)
+
+
+class _Level(int):
+    pass
+
+
+def test_all_ratings_takes_what_check_rating_takes():
+    assert all_ratings(range(1, 11), [5], [])
+    assert all_ratings()
+    # True and 5.0 equal 1 and 5, so the types are tested apart.
+    for bad in (0, 11, -3, 5.0, "5", None, True, False, _Level(5)):
+        assert not all_ratings([1, 10], [5, bad])
 
 
 def test_check_rating_error_carries_field_name():
