@@ -3,12 +3,8 @@ Monte Carlo occurrence-rate checks over failure-mode worksheets."""
 
 from .analysis import (
     DEFAULT_BANDS,
-    RPN_MAX,
-    RPN_MIN,
     ClassBands,
-    CollisionGroup,
     MatrixAxes,
-    RiskMatrix,
     RpnResult,
     Summary,
     classify,
@@ -32,12 +28,8 @@ from .ingest import (
 from .scales import (
     DETECTION_SCALE,
     OCCURRENCE_SCALE,
-    RATING_MAX,
-    RATING_MIN,
     SEVERITY_SCALE,
-    OccurrenceRate,
     RatingRangeError,
-    ScaleRow,
     check_rating,
     occurrence_rate,
     rating_from_rate,
@@ -60,25 +52,17 @@ __all__ = [
     "DEFAULT_BANDS",
     "DETECTION_SCALE",
     "OCCURRENCE_SCALE",
-    "RATING_MAX",
-    "RATING_MIN",
-    "RPN_MAX",
-    "RPN_MIN",
     "SEVERITY_SCALE",
     "WORKSHEET_TITLE",
     "ClassBands",
     "ClassLabel",
-    "CollisionGroup",
     "FmeaEntry",
     "MatrixAxes",
-    "OccurrenceRate",
     "ParseError",
     "ParseFailure",
     "RatingRangeError",
     "RatingTriple",
-    "RiskMatrix",
     "RpnResult",
-    "ScaleRow",
     "SimConfig",
     "SimResult",
     "Summary",

@@ -53,22 +53,9 @@ class _InputError(Exception):
         self.lines = lines
 
 
-def _read_bytes(path: str) -> bytes:
-    if path == "-":
-        if sys.stdin is None:  # the process started with fd 0 closed
-            raise _InputError(["error: cannot read -: standard input is closed"])
-        return sys.stdin.buffer.read()
-    try:
-        with open(path, "rb") as handle:
-            return handle.read()
-    except OSError as exc:
-        reason = exc.strerror or str(exc)
-        raise _InputError([f"error: cannot read {path}: {reason}"]) from exc
-
-
 def _load(path: str) -> Worksheet:
-    """Parse a worksheet file; format chosen by extension, stdin is CSV."""
-    data = _read_bytes(path)
+    """Parse a worksheet file; format chosen by extension, stdin is CSV.
+    A path of neither kind is refused before anything is read."""
     if path == "-" or path.lower().endswith(".csv"):
         parse = parse_csv
     elif path.lower().endswith(".json"):
@@ -76,6 +63,17 @@ def _load(path: str) -> Worksheet:
     else:
         raise _UsageError(f"cannot tell the format of {path!r}: "
                           "expected a .csv or .json file, or - for stdin CSV")
+    if path == "-":
+        if sys.stdin is None:  # the process started with fd 0 closed
+            raise _InputError(["error: cannot read -: standard input is closed"])
+        data = sys.stdin.buffer.read()
+    else:
+        try:
+            with open(path, "rb") as handle:
+                data = handle.read()
+        except OSError as exc:
+            reason = exc.strerror or str(exc)
+            raise _InputError([f"error: cannot read {path}: {reason}"]) from exc
     try:
         return parse(data)
     except ParseFailure as exc:

@@ -222,8 +222,6 @@ def _check_duplicates(keyed: list[tuple[tuple[str, str], int]],
                       source_kind: str, errors: list[ParseError]) -> None:
     # One error per duplicated (component, failure_mode) key, listing all
     # row/entry positions where it appears.
-    if len({key for key, _ in keyed}) == len(keyed):
-        return
     unit = "rows" if source_kind == "csv" else "entries"
     for (component, failure_mode), positions in repeated_keys(keyed):
         where = ", ".join(str(p) for p in positions)

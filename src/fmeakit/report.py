@@ -18,7 +18,6 @@ from operator import methodcaller
 from .analysis import (
     ClassBands,
     CollisionGroup,
-    MatrixAxes,
     RiskMatrix,
     RpnResult,
     Summary,
@@ -73,16 +72,9 @@ _REPORT_SECTION = """
 - RPN: %s"""
 # Each label's text, looked up without an Enum descriptor call per row.
 _LABEL_TEXT = {label: label.value for label in ClassLabel}
-# The analysis document in pieces, as json.dumps spells it with indent=2:
-# the head (bands and summary) up to the "results" list, then one ranked
-# record and one collision group as items of a top-level list, keys at six
-# spaces and the item at four.
-_JSON_COUNTS = "{" + ",".join(f"\n      {encode_basestring(text)}: %s"
-                              for text in _LABEL_TEXT.values()) + "\n    }"
-_JSON_HEAD = ('{\n  "bands": [\n    %s,\n    %s,\n    %s\n  ],\n  "summary": {'
-              '\n    "entries": %s,\n    "rpn_min": %s,\n    "rpn_max": %s,'
-              '\n    "rpn_mean": %s,\n    "computed_class_counts": ' + _JSON_COUNTS
-              + ',\n    "declared_class_counts": ' + _JSON_COUNTS + '\n  },\n  "results": ')
+# A ranked record and a collision group of the analysis document, as
+# json.dumps spells them with indent=2 as items of a top-level list: keys at
+# six spaces and the item at four.
 _JSON_ROW = "{" + ",".join(f"\n      {encode_basestring(key)}: %s"
                            for key, _ in _RANKED_FIELDS) + "\n    }"
 _JSON_GROUP = ('{\n      "rpn": %s,\n      "members": [\n        %s\n      ],'
@@ -365,10 +357,11 @@ def render_analysis_json(ws: Worksheet, results: list[RpnResult],
                          groups: list[CollisionGroup], flagged: list[RpnResult],
                          summary: Summary, bands: ClassBands) -> str:
     """The analysis document, the --format json text, as json.dumps writes
-    it with indent=2 and ensure_ascii=False plus a line feed. The head,
-    each ranked record and each collision group is spelt from one
-    template, a flagged record's text serves both "results" and
-    "discrepancies", and all the pieces are joined once."""
+    it with indent=2 and ensure_ascii=False plus a line feed. The head
+    (bands and summary) is json.dumps's own text; each ranked record and
+    each collision group is spelt from one template, a flagged record's
+    text serves both "results" and "discrepancies", and all the pieces are
+    joined once."""
     entries = ws.entries
     records = {}
     for r in results:
@@ -383,13 +376,20 @@ def render_analysis_json(ws: Worksheet, results: list[RpnResult],
         group.rpn, ",\n        ".join(map(str, group.members)),
         ",\n        ".join([encode_basestring(entries[i].component) for i in group.members]))
         for group in groups]
-    rpn_stats = (summary.rpn_min, summary.rpn_max,
-                 None if summary.rpn_mean is None else float(_mean_text(summary)))
-    out = [_JSON_HEAD % (
-        bands.marginal_min, bands.critical_min, bands.catastrophic_min, summary.entries,
-        *["null" if value is None else value for value in rpn_stats],
-        *[summary.computed_class_counts[label] for label in ClassLabel],
-        *[summary.declared_class_counts[label] for label in ClassLabel])]
+    head = {"bands": [bands.marginal_min, bands.critical_min, bands.catastrophic_min],
+            "summary": {
+                "entries": summary.entries,
+                "rpn_min": summary.rpn_min,
+                "rpn_max": summary.rpn_max,
+                "rpn_mean": None if summary.rpn_mean is None else float(_mean_text(summary)),
+                "computed_class_counts": {label.value: summary.computed_class_counts[label]
+                                          for label in ClassLabel},
+                "declared_class_counts": {label.value: summary.declared_class_counts[label]
+                                          for label in ClassLabel}}}
+    # The head does not grow with the sheet: json.dumps spells it, and the
+    # lists take the place of its closing brace.
+    out = [json.dumps(head, indent=2, ensure_ascii=False).removesuffix("\n}")
+           + ',\n  "results": ']
     _json_list(out, records.values(), ',\n  "collisions": ')
     _json_list(out, spelt_groups, ',\n  "discrepancies": ')
     _json_list(out, [records[r.entry_index] for r in flagged], "\n}\n")

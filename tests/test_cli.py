@@ -269,6 +269,16 @@ def test_unknown_extension_is_usage_error(tmp_path, capsys):
     assert ".csv or .json" in captured.err
 
 
+def test_unknown_extension_is_refused_before_reading(tmp_path, capsys):
+    # The extension alone decides: a missing sheet.txt is a usage error,
+    # not a file that cannot be read.
+    assert run(["analyze", str(tmp_path / "sheet.txt")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ".csv or .json" in captured.err
+    assert "cannot read" not in captured.err
+
+
 def test_missing_file_is_data_error(tmp_path, capsys):
     assert run(["analyze", str(tmp_path / "nope.csv")]) == 1
     captured = capsys.readouterr()
