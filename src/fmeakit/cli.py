@@ -63,21 +63,23 @@ def _load(path: str) -> Worksheet:
     else:
         raise _UsageError(f"cannot tell the format of {path!r}: "
                           "expected a .csv or .json file, or - for stdin CSV")
-    if path == "-":
-        if sys.stdin is None:  # the process started with fd 0 closed
-            raise _InputError(["error: cannot read -: standard input is closed"])
-        data = sys.stdin.buffer.read()
-    else:
-        try:
-            with open(path, "rb") as handle:
-                data = handle.read()
-        except OSError as exc:
-            reason = exc.strerror or str(exc)
-            raise _InputError([f"error: cannot read {path}: {reason}"]) from exc
-    try:
+    try:  # an endless input, such as /dev/zero, ends in MemoryError
+        if path == "-":
+            if sys.stdin is None:  # the process started with fd 0 closed
+                raise _InputError(["error: cannot read -: standard input is closed"])
+            data = sys.stdin.buffer.read()
+        else:
+            try:
+                with open(path, "rb") as handle:
+                    data = handle.read()
+            except OSError as exc:
+                reason = exc.strerror or str(exc)
+                raise _InputError([f"error: cannot read {path}: {reason}"]) from exc
         return parse(data)
     except ParseFailure as exc:
         raise _InputError([str(err) for err in exc.errors]) from exc
+    except MemoryError as exc:
+        raise _InputError([f"error: cannot read {path}: out of memory"]) from exc
 
 
 def _ascii_int(text: str) -> int:
@@ -172,22 +174,39 @@ def _cmd_scales(args: argparse.Namespace) -> str:
     return render_scales_csv(args.scale)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argparse parser that keeps "--" as an option's attached value.
+
+    Python 3.11's argparse drops the "--" of --bands=-- and hands the option
+    an empty list in place of a string, which no type or choices check sees;
+    here the "--" is the value, checked like any other.
+    """
+
+    def _get_values(self, action, arg_strings):
+        if action.option_strings and arg_strings == ["--"]:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="fmeakit",
         description="Classical FMEA: validate worksheets, rank failure "
                     "modes by RPN, map risk matrices, and check occurrence "
                     "ratings by simulation.")
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
+    file_help = "worksheet path (.csv or .json), or - for stdin CSV"
 
     p = sub.add_parser("validate", help="parse a worksheet and report violations")
-    p.add_argument("file", help="worksheet path (.csv or .json), or - for stdin CSV")
+    p.add_argument("file", help=file_help)
     p.set_defaults(handler=_cmd_validate)
 
     p = sub.add_parser("analyze",
                        help="ranked RPN results with collisions and discrepancies")
-    p.add_argument("file", help="worksheet path (.csv or .json), or - for stdin CSV")
+    p.add_argument("file", help=file_help)
     p.add_argument("--bands", type=_bands_type, default=DEFAULT_BANDS,
                    metavar="B1,B2,B3",
                    help="ascending class cut points (default 100,200,500)")
@@ -195,14 +214,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_analyze)
 
     p = sub.add_parser("matrix", help="10x10 risk matrix")
-    p.add_argument("file", help="worksheet path (.csv or .json), or - for stdin CSV")
+    p.add_argument("file", help=file_help)
     p.add_argument("--axes", choices=("s-d", "s-o"), required=True,
                    help="severity vs detection (s-d) or occurrence (s-o)")
     p.add_argument("--format", choices=("text", "csv", "svg"), default="text")
     p.set_defaults(handler=_cmd_matrix)
 
     p = sub.add_parser("report", help="full FMEA report in rank order")
-    p.add_argument("file", help="worksheet path (.csv or .json), or - for stdin CSV")
+    p.add_argument("file", help=file_help)
     p.set_defaults(handler=_cmd_report)
 
     p = sub.add_parser("simulate",

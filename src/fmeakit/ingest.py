@@ -35,7 +35,7 @@ from .worksheet import (
     FmeaEntry,
     RatingTriple,
     Worksheet,
-    repeated_keys,
+    duplicate_pairs,
     validate_entry,
 )
 
@@ -220,17 +220,11 @@ def _csv_ratings(cells: Sequence[str]) -> list[int | str]:
 
 def _check_duplicates(keyed: list[tuple[tuple[str, str], int]],
                       source_kind: str, errors: list[ParseError]) -> None:
-    # One error per duplicated (component, failure_mode) key, listing all
-    # row/entry positions where it appears.
-    unit = "rows" if source_kind == "csv" else "entries"
-    for (component, failure_mode), positions in repeated_keys(keyed):
-        where = ", ".join(str(p) for p in positions)
-        errors.append(ParseError(
-            source_kind,
-            f"duplicate (component, failure_mode) pair "
-            f"({component!r}, {failure_mode!r}) at {unit} {where}",
-            row=positions[0] if source_kind == "csv" else None,
-            column="component, failure_mode"))
+    # One error per duplicated key, located at its first row in CSV.
+    in_rows = source_kind == "csv"
+    errors += [ParseError(source_kind, message, first if in_rows else None,
+                          "component, failure_mode")
+               for message, first in duplicate_pairs(keyed, "rows" if in_rows else "entries")]
 
 
 def parse_csv(data: bytes) -> Worksheet:

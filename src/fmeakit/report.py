@@ -42,16 +42,16 @@ _RANKED_FIELDS = (
     ("declared_class", "Declared Class"),
     ("discrepancy", "Discrepancy"),
 )
-_TABLE_FIELDS = tuple(field for field in _RANKED_FIELDS if field[1] is not None)
-_MD_ROW = "| " + " | ".join(["%s"] * len(_TABLE_FIELDS)) + " |"
-_MD_HEADER = (_MD_ROW % tuple(heading for _, heading in _TABLE_FIELDS),
-              "|" + "|".join(" --- " for _ in _TABLE_FIELDS) + "|")
+# In a table row, entry_index (the second field) is taken by %.0s, which writes nothing.
+_MD_ROW = "| %s%.0s" + " | %s" * (len(_RANKED_FIELDS) - 2) + " |"
+_MD_HEADER = (_MD_ROW % tuple(heading for _, heading in _RANKED_FIELDS),
+              _MD_ROW % (("---",) * len(_RANKED_FIELDS)))
 # A "|" in a Markdown cell, escaped so that it does not end the cell.
 _md_cell = methodcaller("replace", "|", "\\|")
 # The ranked and discrepancy CSV tables, a template per row each; the text
 # cells are spelt by _csv_cell, as csv_text spells every cell.
-_CSV_HEADER = ",".join(key for key, _ in _TABLE_FIELDS) + "\n"
-_CSV_ROW = ",".join(["%s"] * len(_TABLE_FIELDS)) + "\n"
+_CSV_ROW = "%s%.0s" + ",%s" * (len(_RANKED_FIELDS) - 2) + "\n"
+_CSV_HEADER = _CSV_ROW % tuple(key for key, _ in _RANKED_FIELDS)
 _FLAGGED_CSV_HEADER = "rank,component,rpn,computed_class,declared_class\n"
 _FLAGGED_CSV_ROW = "%s,%s,%s,%s,%s\n"
 # One entry's section of the report, 14 lines, each after a line feed.
@@ -79,6 +79,9 @@ _JSON_ROW = "{" + ",".join(f"\n      {encode_basestring(key)}: %s"
                            for key, _ in _RANKED_FIELDS) + "\n    }"
 _JSON_GROUP = ('{\n      "rpn": %s,\n      "members": [\n        %s\n      ],'
                '\n      "components": [\n        %s\n      ]\n    }')
+# Each class, no class (None) included, as each ranked-row format spells it.
+_MD_LABELS = {None: "-", **_LABEL_TEXT}
+_CSV_LABELS = {None: "", **_LABEL_TEXT}
 _JSON_LABELS = {None: "null", **{label: encode_basestring(text)
                                  for label, text in _LABEL_TEXT.items()}}
 
@@ -101,18 +104,17 @@ def _md_lines(lines: list[str]) -> str:
 
 
 def _table_rows(results: list[RpnResult], ws: Worksheet, cell: Callable[[str], str],
-                missing: str, flags: tuple[str, str]) -> list[tuple]:
-    """Ranked rows as table cells in _TABLE_FIELDS order: numbers as ints,
-    the two worksheet-text cells passed through *cell*, a missing declared
-    class as *missing*, the discrepancy flag as flags[0] (no) or flags[1]
-    (yes)."""
+                labels: dict[ClassLabel | None, str], flags: tuple[str, str]) -> list[tuple]:
+    """Ranked rows, each its values in _RANKED_FIELDS order, as every format
+    spells them: numbers as ints, the two worksheet-text cells passed
+    through *cell*, each class as *labels* has it (None, no class,
+    included), the discrepancy flag as flags[0] (no) or flags[1] (yes)."""
     entries = ws.entries
-    labels = {None: missing, **_LABEL_TEXT}
     rows = []
     for result in results:
         entry = entries[result.entry_index]
         triple = entry.triple
-        rows.append((result.rank, cell(entry.component),
+        rows.append((result.rank, result.entry_index, cell(entry.component),
                      cell(entry.failure_mode), triple.severity,
                      triple.occurrence, triple.detection, result.rpn,
                      labels[result.computed_class], labels[result.declared_class],
@@ -281,7 +283,8 @@ def render_analysis_markdown(ws: Worksheet, results: list[RpnResult],
         lines.append("Entries: 0")
     lines.append("")
     lines += _MD_HEADER
-    lines += map(_MD_ROW.__mod__, _table_rows(results, ws, _md_cell, "-", ("no", "yes")))
+    ranked = _table_rows(results, ws, _md_cell, _MD_LABELS, ("no", "yes"))
+    lines += map(_MD_ROW.__mod__, ranked)
     lines.append("")
     lines.append("## Collisions")
     lines.append("")
@@ -320,7 +323,7 @@ def render_analysis_csv(ws: Worksheet, results: list[RpnResult],
          None if summary.rpn_mean is None else _mean_text(summary),
          bands.marginal_min, bands.critical_min, bands.catastrophic_min],
     ]
-    ranked = _table_rows(results, ws, _csv_cell, "", ("false", "true"))
+    ranked = _table_rows(results, ws, _csv_cell, _CSV_LABELS, ("false", "true"))
     out = [csv_text(summary_rows), _CSV_HEADER + "".join(map(_CSV_ROW.__mod__, ranked))]
 
     collision_rows: list[list[object]] = [["rpn", "member_indices", "member_components"]]
@@ -363,15 +366,8 @@ def render_analysis_json(ws: Worksheet, results: list[RpnResult],
     text serves both "results" and "discrepancies", and all the pieces are
     joined once."""
     entries = ws.entries
-    records = {}
-    for r in results:
-        entry = entries[r.entry_index]
-        triple = entry.triple
-        records[r.entry_index] = _JSON_ROW % (
-            r.rank, r.entry_index, encode_basestring(entry.component),
-            encode_basestring(entry.failure_mode), triple.severity, triple.occurrence,
-            triple.detection, r.rpn, _JSON_LABELS[r.computed_class],
-            _JSON_LABELS[r.declared_class], ("false", "true")[r.discrepancy])
+    records = {row[1]: _JSON_ROW % row for row in _table_rows(
+        results, ws, encode_basestring, _JSON_LABELS, ("false", "true"))}
     spelt_groups = [_JSON_GROUP % (
         group.rpn, ",\n        ".join(map(str, group.members)),
         ",\n        ".join([encode_basestring(entries[i].component) for i in group.members]))

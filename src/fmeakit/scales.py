@@ -19,12 +19,6 @@ RATING_MIN = 1
 RATING_MAX = 10
 
 
-def is_rating(value: object) -> bool:
-    """True if *value* is an int (not a bool) on the 1-10 scale."""
-    return isinstance(value, int) and not isinstance(value, bool) \
-        and RATING_MIN <= value <= RATING_MAX
-
-
 def rating_message(value: object) -> str:
     """Why *value* is not a rating; every input path reports this text."""
     return f"must be an integer in [1, 10], got {value!r}"
@@ -36,9 +30,9 @@ _RATINGS = frozenset(_RATINGS_BY_TEXT.values())
 
 
 def all_ratings(*columns: Collection[object]) -> bool:
-    """True if every value in every column is a rating, as is_rating has
-    it, tested in two passes over all the values: their types, then the
-    values themselves."""
+    """True if every value in every column is a rating, an int (not a bool
+    or an int subclass) from 1 to 10, tested in two passes over all the
+    values: their types, then the values themselves."""
     return set(map(type, chain(*columns))) <= {int} and set(chain(*columns)) <= _RATINGS
 
 
@@ -62,8 +56,8 @@ class RatingRangeError(ValueError):
 
 
 def check_rating(value: int, field: str = "rating") -> int:
-    """Return *value* if it is a valid 1-10 rating, else raise RatingRangeError."""
-    if not is_rating(value):
+    """Return *value* if all_ratings takes it, else raise RatingRangeError."""
+    if not all_ratings((value,)):
         raise RatingRangeError(value, field)
     return value
 

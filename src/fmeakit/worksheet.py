@@ -14,7 +14,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 from enum import Enum, unique
 from typing import TypeVar
 
-from .scales import is_rating, rating_message
+from .scales import all_ratings, rating_message
 
 RATING_FIELDS = ("severity", "occurrence", "detection")
 
@@ -132,10 +132,12 @@ def validate_entry(entry: FmeaEntry) -> list[Violation]:
     violations = []
     if not entry.component.strip():
         violations.append(Violation("component", "must not be empty"))
-    for name in RATING_FIELDS:
-        value = getattr(entry.triple, name)
-        if not is_rating(value):
-            violations.append(Violation(name, rating_message(value)))
+    triple = entry.triple
+    values = (triple.severity, triple.occurrence, triple.detection)
+    if not all_ratings(values):  # then each value it refuses is worded
+        violations += [Violation(name, rating_message(value))
+                       for name, value in zip(RATING_FIELDS, values)
+                       if not all_ratings((value,))]
     return violations
 
 
@@ -147,6 +149,15 @@ def repeated_keys(keyed: Iterable[tuple[_K, int]]) -> list[tuple[_K, list[int]]]
         seen.setdefault(key, []).append(position)
     return [(key, positions) for key, positions in seen.items()
             if len(positions) > 1]
+
+
+def duplicate_pairs(keyed: Iterable[tuple[tuple[str, str], int]],
+                    unit: str) -> list[tuple[str, int]]:
+    """(message, first position) for each (component, failure_mode) key seen
+    more than once among the (key, position) pairs, positions in *unit*."""
+    return [(f"duplicate (component, failure_mode) pair ({component!r}, "
+             f"{failure_mode!r}) at {unit} {', '.join(map(str, positions))}", positions[0])
+            for (component, failure_mode), positions in repeated_keys(keyed)]
 
 
 def validate_worksheet(ws: Worksheet) -> list[Violation]:
@@ -162,11 +173,6 @@ def validate_worksheet(ws: Worksheet) -> list[Violation]:
             violations.append(replace(v, entry_index=index))
 
     keyed = (((e.component, e.failure_mode), i) for i, e in enumerate(ws.entries))
-    for (component, failure_mode), indices in repeated_keys(keyed):
-        where = ", ".join(str(i) for i in indices)
-        violations.append(Violation(
-            "component, failure_mode",
-            f"duplicate pair ({component!r}, {failure_mode!r}) at entries {where}",
-            entry_index=indices[0],
-        ))
+    violations += [Violation("component, failure_mode", message, entry_index=first)
+                   for message, first in duplicate_pairs(keyed, "entries")]
     return violations

@@ -175,6 +175,7 @@ _USAGE = re.compile(r"usage: |\s+\S|fmeakit( \w+)?: error: ")
 @given(argv=_argvs())
 @example(argv=["simulate", "--trials", str(2**63 - 1), "--rating", "05"])
 @example(argv=["analyze", "--bands", "1" * 21 + ",2,3", "-"])
+@example(argv=["analyze", "<csv>", "--bands=--"])
 def test_any_argv_keeps_the_contract(tmp_path_factory, argv):
     base = tmp_path_factory.getbasetemp()
     files = dict(zip(_FILES, (base / "argv.csv", base / "argv.json", base / "argv-missing.csv",
@@ -260,6 +261,18 @@ def test_no_arguments_is_usage_error(capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("option, message", [
+    ("--bands=--", "argument --bands: expected three comma-separated integers, got '--'"),
+    ("--format=--", "argument --format: invalid choice: '--'"),
+])
+def test_double_dash_as_an_option_value_is_usage_error(fixture_csv, capsys, option,
+                                                       message):
+    assert run(["analyze", str(fixture_csv), option]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_unknown_extension_is_usage_error(tmp_path, capsys):
     path = tmp_path / "sheet.txt"
     path.write_text(BAD_CSV)
@@ -284,6 +297,23 @@ def test_missing_file_is_data_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "cannot read" in captured.err
+
+
+def test_endless_stdin_is_a_located_error(capsys, monkeypatch):
+    # Reading /dev/zero runs out of memory.
+    monkeypatch.setattr("sys.stdin", mock.Mock(**{"buffer.read.side_effect": MemoryError}))
+    assert run(["validate", "-"]) == 1
+    assert capsys.readouterr() == ("", "error: cannot read -: out of memory\n")
+
+
+def test_out_of_memory_while_parsing_is_a_located_error(fixture_csv, capsys,
+                                                        monkeypatch):
+    def parse_csv(data):
+        raise MemoryError
+
+    monkeypatch.setattr("fmeakit.cli.parse_csv", parse_csv)
+    assert run(["analyze", str(fixture_csv)]) == 1
+    assert capsys.readouterr() == ("", f"error: cannot read {fixture_csv}: out of memory\n")
 
 
 def test_parse_errors_keep_stdout_clean(tmp_path, capsys):

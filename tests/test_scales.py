@@ -10,10 +10,15 @@ from fmeakit import (
     DETECTION_SCALE,
     OCCURRENCE_SCALE,
     SEVERITY_SCALE,
+    FmeaEntry,
     RatingRangeError,
+    RatingTriple,
+    SimConfig,
     check_rating,
     occurrence_rate,
     rating_from_rate,
+    simulate_occurrence,
+    validate_entry,
 )
 from fmeakit.scales import all_ratings
 
@@ -123,6 +128,12 @@ def test_all_ratings_takes_what_check_rating_takes():
     # True and 5.0 equal 1 and 5, so the types are tested apart.
     for bad in (0, 11, -3, 5.0, "5", None, True, False, _Level(5)):
         assert not all_ratings([1, 10], [5, bad])
+        with pytest.raises(RatingRangeError):
+            check_rating(bad)
+        entry = FmeaEntry("Pump", "Seal leak", RatingTriple(5, bad, 5))
+        assert [v.field for v in validate_entry(entry)] == ["occurrence"]
+    with pytest.raises(RatingRangeError):
+        simulate_occurrence(_Level(5), SimConfig(trials=100))
 
 
 def test_check_rating_error_carries_field_name():

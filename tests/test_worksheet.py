@@ -19,10 +19,13 @@ import pytest
 from fmeakit import (
     ClassLabel,
     FmeaEntry,
+    ParseFailure,
     RatingTriple,
     RpnResult,
     SimResult,
     Worksheet,
+    emit_json,
+    parse_json,
     validate_entry,
     validate_worksheet,
 )
@@ -96,6 +99,14 @@ def test_duplicate_pairs_reported_once_with_all_indices():
     v = violations[0]
     assert v.field == "component, failure_mode"
     assert "0, 1, 3" in v.message
+
+
+def test_duplicate_pair_is_worded_as_the_json_parser_words_it():
+    ws = Worksheet("demo", [entry(), entry(failure_mode="Other"), entry(s=7)])
+    with pytest.raises(ParseFailure) as info:
+        parse_json(emit_json(ws))
+    [violation] = validate_worksheet(ws)
+    assert [e.message for e in info.value.errors] == [violation.message]
 
 
 def test_distinct_failure_modes_on_one_component_are_fine():
