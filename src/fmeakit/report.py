@@ -13,7 +13,6 @@ import json
 from collections.abc import Callable, Iterable
 from itertools import chain, repeat
 from json.encoder import encode_basestring
-from operator import methodcaller
 
 from .analysis import (
     ClassBands,
@@ -46,30 +45,12 @@ _RANKED_FIELDS = (
 _MD_ROW = "| %s%.0s" + " | %s" * (len(_RANKED_FIELDS) - 2) + " |"
 _MD_HEADER = (_MD_ROW % tuple(heading for _, heading in _RANKED_FIELDS),
               _MD_ROW % (("---",) * len(_RANKED_FIELDS)))
-# A "|" in a Markdown cell, escaped so that it does not end the cell.
-_md_cell = methodcaller("replace", "|", "\\|")
 # The ranked and discrepancy CSV tables, a template per row each; the text
 # cells are spelt by _csv_cell, as csv_text spells every cell.
 _CSV_ROW = "%s%.0s" + ",%s" * (len(_RANKED_FIELDS) - 2) + "\n"
 _CSV_HEADER = _CSV_ROW % tuple(key for key, _ in _RANKED_FIELDS)
 _FLAGGED_CSV_HEADER = "rank,component,rpn,computed_class,declared_class\n"
 _FLAGGED_CSV_ROW = "%s,%s,%s,%s,%s\n"
-# One entry's section of the report, 14 lines, each after a line feed.
-_REPORT_SECTION = """
-
-## %s. %s
-
-- Failure mode: %s
-- Severity (S): %s
-- Effect: %s
-- End effect: %s
-- Cause: %s
-- Classification: %s
-- Occurrence (O): %s
-- Prevention controls: %s
-- Detection controls: %s
-- Detection (D): %s
-- RPN: %s"""
 # Each label's text, looked up without an Enum descriptor call per row.
 _LABEL_TEXT = {label: label.value for label in ClassLabel}
 # A ranked record and a collision group of the analysis document, as
@@ -93,14 +74,10 @@ def _one_line(text: str) -> str:
     return text
 
 
-def _md_lines(lines: list[str]) -> str:
-    """The lines as text, each ended by a line feed. A line break inside a
-    line, which only worksheet text can hold, becomes a space; the common
-    case costs one check of the whole text."""
-    text = "\n".join(lines) + "\n"
-    if "\r" in text or text.count("\n") > len(lines):
-        text = "\n".join(map(_one_line, lines)) + "\n"
-    return text
+def _md_cell(text: str) -> str:
+    # A worksheet-text cell of a Markdown table: on one line, and a "|"
+    # escaped so that it does not end the cell.
+    return _one_line(text).replace("|", "\\|")
 
 
 def _table_rows(results: list[RpnResult], ws: Worksheet, cell: Callable[[str], str],
@@ -127,30 +104,26 @@ def render_fmea_report(ws: Worksheet, results: list[RpnResult]) -> str:
 
     Each section carries the complete row: failure mode, ratings, effects,
     cause, classification (the declared label when present, otherwise the
-    computed one), controls, and RPN. As in _md_lines, a line break inside
-    worksheet text becomes a space: if the text holds a CR or more than its
-    1 + 14n line feeds, it is written again with each text cell on one line.
+    computed one), controls, and RPN. The title and each text cell are
+    written on one line.
     """
-    text = _report_text(ws, results, str)
-    if "\r" in text or text.count("\n") > 1 + 14 * len(results):
-        text = _report_text(ws, results, _one_line)
-    return text
-
-
-def _report_text(ws: Worksheet, results: list[RpnResult],
-                 line: Callable[[str], str]) -> str:
     entries = ws.entries
-    sections = ["# FMEA report: %s" % line(ws.title) if ws.title else "# FMEA report"]
-    for result in results:
-        entry = entries[result.entry_index]
-        triple = entry.triple
-        sections.append(_REPORT_SECTION % (
-            result.rank, line(entry.component), line(entry.failure_mode) or "-",
-            triple.severity, line(entry.effect) or "-", line(entry.end_effect) or "-",
-            line(entry.cause) or "-",
-            _LABEL_TEXT[entry.declared_classification or result.computed_class],
-            triple.occurrence, line(entry.prevention_controls) or "-",
-            line(entry.detection_controls) or "-", triple.detection, result.rpn))
+    sections = ["# FMEA report: %s" % _one_line(ws.title) if ws.title else "# FMEA report"]
+    sections += [f"""
+
+## {result.rank}. {_one_line(entry.component)}
+
+- Failure mode: {_one_line(entry.failure_mode) or "-"}
+- Severity (S): {entry.triple.severity}
+- Effect: {_one_line(entry.effect) or "-"}
+- End effect: {_one_line(entry.end_effect) or "-"}
+- Cause: {_one_line(entry.cause) or "-"}
+- Classification: {_LABEL_TEXT[entry.declared_classification or result.computed_class]}
+- Occurrence (O): {entry.triple.occurrence}
+- Prevention controls: {_one_line(entry.prevention_controls) or "-"}
+- Detection controls: {_one_line(entry.detection_controls) or "-"}
+- Detection (D): {entry.triple.detection}
+- RPN: {result.rpn}""" for result in results for entry in [entries[result.entry_index]]]
     sections.append("\n")
     return "".join(sections)
 
@@ -268,8 +241,8 @@ def render_analysis_markdown(ws: Worksheet, results: list[RpnResult],
                              flagged: list[RpnResult],
                              summary: Summary, bands: ClassBands) -> str:
     """Assemble the full analysis document: ranked table, rows in rank
-    order, then collisions and discrepancies; worksheet text as _md_lines
-    writes it."""
+    order, then collisions and discrepancies; each worksheet-text cell on
+    one line."""
     lines = ["# FMEA analysis", ""]
     lines.append(f"Class bands: {bands.describe()}")
     if summary.entries:
@@ -290,7 +263,8 @@ def render_analysis_markdown(ws: Worksheet, results: list[RpnResult],
     lines.append("")
     if groups:
         for group in groups:
-            names = "; ".join(ws.entries[i].component for i in group.members)
+            # "; " holds no line break, so this is _one_line on each name.
+            names = _one_line("; ".join([ws.entries[i].component for i in group.members]))
             lines.append(f"- RPN {group.rpn} ({len(group.members)} entries): {names}")
     else:
         lines.append("(none)")
@@ -300,12 +274,12 @@ def render_analysis_markdown(ws: Worksheet, results: list[RpnResult],
     if flagged:
         for result in flagged:
             entry = ws.entries[result.entry_index]
-            lines.append(f"- {entry.component}: declared "
+            lines.append(f"- {_one_line(entry.component)}: declared "
                          f"{_LABEL_TEXT.get(result.declared_class, '-')}, computed "
                          f"{_LABEL_TEXT[result.computed_class]} (RPN {result.rpn})")
     else:
         lines.append("(none)")
-    return _md_lines(lines)
+    return "\n".join(lines) + "\n"
 
 
 def render_analysis_csv(ws: Worksheet, results: list[RpnResult],

@@ -169,7 +169,6 @@ def simulate_occurrence(rating: int, cfg: SimConfig) -> SimResult:
 
     Fully determined by (rating, cfg.trials, cfg.seed).
     """
-    check_rating(rating, "occurrence")
     return _simulate([rating], cfg, np.empty((1, 0), dtype=np.uint32))[0]
 
 

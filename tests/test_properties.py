@@ -48,7 +48,7 @@ from fmeakit.ingest import (
     csv_text,
 )
 from fmeakit.report import (
-    _md_lines,
+    _one_line,
     render_analysis_csv,
     render_analysis_json,
     render_analysis_markdown,
@@ -573,9 +573,16 @@ def _ranked_cells(ws, results, missing, flags):
     return rows
 
 
+def _text_of_lines(lines):
+    """The lines as text, each ended by a line feed, with each line break
+    inside a line made a space: the whole-line rule that the renderers,
+    which apply it cell by cell, must match."""
+    return "\n".join(map(_one_line, lines)) + "\n"
+
+
 def _markdown_table(ws, results):
     row = "| " + " | ".join(["{}"] * 10) + " |"
-    return _md_lines([
+    return _text_of_lines([
         row.format("Rank", "Component", "Failure Mode", "S", "O", "D", "RPN",
                    "Computed Class", "Declared Class", "Discrepancy"),
         "|" + "|".join([" --- "] * 10) + "|",
@@ -602,11 +609,32 @@ def _report_lines(ws, results):
         lines.append(f"- Detection controls: {entry.detection_controls or '-'}")
         lines.append(f"- Detection (D): {entry.triple.detection}")
         lines.append(f"- RPN: {result.rpn}")
-    return _md_lines(lines)
+    return _text_of_lines(lines)
 
 
 _table_sheets = st.tuples(analysis_sheets(_table_text, max_rows=12, prose=True),
                           band_triples.map(lambda cuts: ClassBands(*cuts)))
+
+
+def _text_sheet(title, *cells):
+    """A JSON sheet of one entry per (component, failure_mode, narrative)
+    in *cells*, all rated 5 (one collision) and declared Catastrophic (each
+    a discrepancy), as parse_json reads it; with the default bands."""
+    entries = [{"component": component, "failure_mode": mode,
+                **dict.fromkeys(RATING_FIELDS, 5),
+                **dict.fromkeys(_NARRATIVE_FIELDS, narrative),
+                "declared_classification": "Catastrophic"}
+               for component, mode, narrative in cells]
+    return (parse_json(json.dumps({"title": title, "entries": entries}).encode()),
+            ClassBands(100, 200, 500))
+
+
+# The title and every text cell hold LF, CRLF and a bare CR.
+_BREAKS = "a\nb\r\nc\rd"
+_broken_sheet = _text_sheet(_BREAKS, (f"{_BREAKS} 0", _BREAKS, _BREAKS),
+                            (f"{_BREAKS} 1", _BREAKS, _BREAKS))
+# A component ending in CR, its failure mode starting with LF: not one CRLF.
+_cr_then_lf_sheet = _text_sheet("", ("Pump\r", "\nleak", "\n"), ("Valve\r", "\n", "\r"))
 
 
 @settings(max_examples=200, deadline=None)
@@ -639,6 +667,8 @@ def test_csv_tables_by_template_are_csv_text(sheet):
 @settings(max_examples=200, deadline=None)
 @given(_table_sheets)
 @example((parse_csv(",".join(CSV_COLUMNS).encode()), ClassBands(100, 200, 500)))
+@example(_broken_sheet)
+@example(_cr_then_lf_sheet)
 def test_markdown_table_by_template_is_the_formatted_rows(sheet):
     ws, bands = sheet
     results = rank(ws, bands)
@@ -653,6 +683,8 @@ def test_markdown_table_by_template_is_the_formatted_rows(sheet):
 @settings(max_examples=200, deadline=None)
 @given(_table_sheets)
 @example((parse_json(b'{"title": "a\\r\\nb", "entries": []}'), ClassBands(100, 200, 500)))
+@example(_broken_sheet)
+@example(_cr_then_lf_sheet)
 def test_report_by_template_is_the_appended_lines(sheet):
     ws, bands = sheet
     results = rank(ws, bands)

@@ -1,4 +1,5 @@
-"""The package's own source: no module imports a name it never uses."""
+"""The package's own source: no module imports a name it never uses, and
+no private name is defined that the package itself never loads."""
 
 from __future__ import annotations
 
@@ -9,9 +10,9 @@ import pytest
 
 import fmeakit
 
+SOURCES = sorted(Path(fmeakit.__file__).parent.glob("*.py"))
 # __init__.py is exempt: its imports are the package's re-export list.
-MODULES = sorted(path for path in Path(fmeakit.__file__).parent.glob("*.py")
-                 if path.name != "__init__.py")
+MODULES = [path for path in SOURCES if path.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -41,3 +42,42 @@ def test_unused_imports_finds_what_is_never_named():
 @pytest.mark.parametrize("module", MODULES, ids=lambda path: path.name)
 def test_module_uses_every_name_it_imports(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+def private_definitions(source: str) -> list[tuple[int, str]]:
+    """(line, name) for each private top-level name the module defines: a
+    function, a class or an assignment target whose name starts with one
+    underscore and is not a dunder."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(node.lineno, name.id) for target in targets
+                      for name in ast.walk(target) if isinstance(name, ast.Name)]
+    return [(line, name) for line, name in found
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def loaded_names(source: str) -> set[str]:
+    """Every name the module reads as a Name node."""
+    return {node.id for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def test_private_definitions_finds_each_kind():
+    source = ("_A = 1\n_b, (c, _d) = 2, (3, 4)\n_e: int = 5\n__all__ = []\n"
+              "def _f():\n    _g = 6\nclass _H:\n    _i = 7\ndef j(): pass\n")
+    assert private_definitions(source) == [(1, "_A"), (2, "_b"), (2, "_d"), (3, "_e"),
+                                            (5, "_f"), (7, "_H")]
+    assert loaded_names("_A = _b + c.d\n_e(f=_g)\n") == {"_b", "c", "_e", "_g"}
+
+
+def test_package_loads_every_private_name_it_defines():
+    # A private helper that only the tests call is dead code in the package.
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
+    loaded = set().union(*map(loaded_names, sources.values()))
+    unloaded = [(module, line, name) for module, source in sources.items()
+                for line, name in private_definitions(source) if name not in loaded]
+    assert unloaded == []
