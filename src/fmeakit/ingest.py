@@ -2,7 +2,9 @@
 
 Both parsers collect every problem in the input and report them together
 as located errors, instead of stopping at the first. A sheet whose rows
-are all certainly valid is accepted column by column by _accept, in
+are all certainly valid and spelt as fmeakit writes them (string text
+cells, ratings as str(rating) in CSV or integers in JSON, no surrogate
+escape in JSON) is accepted column by column by _accept, in
 whole-column passes; any other sheet goes row by row through _entry,
 which words every problem. Narrative fields are lenient (may be empty);
 rating fields are strict (never coerced, never clamped). Serialization
@@ -53,18 +55,12 @@ _PROBLEM_ORDER = (*_REQUIRED_FIELDS, *RATING_FIELDS, "declared_classification",
 # holds one.
 _NUL_STAND_IN = "\ud800"
 _COLUMN_SET = frozenset(CSV_COLUMNS)
-# What an absent JSON field reads as: a missing narrative is empty text.
-_JSON_DEFAULTS = tuple("" if name in _NARRATIVE_FIELDS else None for name in CSV_COLUMNS)
 # Declared-class text, stripped and lowercased -> its label; blank declares none.
 _CLASS_BY_TEXT = {"": None, **_LABELS_BY_TEXT}
 _MISS = object()
-# The only way a lone surrogate gets into decoded JSON: a \uD800-\uDFFF escape,
+# The only way a lone surrogate gets into decoded JSON: a \uD800-\uDFFF
+# escape. A document that spells none holds none.
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
-# and of those only a high one (D800-DBFF) not followed by a low one
-# (DC00-DFFF), or a low one not preceded by a high one.
-_LONE_SURROGATE_ESCAPE = re.compile(
-    r"\\u[dD](?:[89abAB][0-9a-fA-F]{2}(?!\\u[dD][c-fC-F])"
-    r"|[c-fC-F](?<!\\u[dD][89abAB][0-9a-fA-F]{2}\\u[dD][c-fC-F]))")
 # A valid row's ratings as a shared frozen triple: at most 1,000 exist.
 _triple = cache(RatingTriple)
 
@@ -121,31 +117,19 @@ def _unicode_problem(text: str) -> str | None:
     return None
 
 
-def _may_hold_lone_surrogate(text: str) -> bool:
-    """False only if no string in the JSON document *text* decodes to a
-    lone surrogate."""
-    if _SURROGATE_ESCAPE.search(text) is None:
-        return False
-    # Each escaped backslash, paired from the left, becomes two plain
-    # characters, so that every backslash left starts an escape.
-    return _LONE_SURROGATE_ESCAPE.search(text.replace("\\\\", "__")) is not None
-
-
 def _accept(columns: Sequence[Sequence[object]]) -> list[FmeaEntry] | None:
     """Every row of a sheet, given as its eleven columns in CSV_COLUMNS
     order, as an entry; None unless every row is certainly valid.
 
-    Certainly valid: the component and failure mode are str and no
-    component is blank, a narrative is str or None (read as empty text, as
-    _entry reads it), ratings are int in 1-10, the class is None, blank or
-    a label, and no (component, failure_mode) key repeats. The caller has
-    ruled out lone surrogates. Each test is one pass over whole columns.
+    Certainly valid: every text cell is str (a None narrative is left to
+    _entry) and no component is blank, ratings are int in 1-10 (a CSV
+    rating spelt other than str(rating) arrives as None), the class is
+    None, blank or a label, and no (component, failure_mode) key repeats.
+    Each test is one pass over whole columns.
     """
     components, failure_modes, severities, occurrences, detections, *narratives, \
         declared = columns
-    narrative_types = set(map(type, chain(*narratives)))
-    if not (set(map(type, chain(components, failure_modes))) <= {str}
-            and narrative_types <= {str, type(None)}
+    if not (set(map(type, chain(components, failure_modes, *narratives))) <= {str}
             and all(map(str.strip, components))
             and all_ratings(severities, occurrences, detections)
             and set(map(type, declared)) <= {str, type(None)}
@@ -156,9 +140,6 @@ def _accept(columns: Sequence[Sequence[object]]) -> list[FmeaEntry] | None:
               for text in set(declared)}
     if _MISS in labels.values():
         return None
-    if type(None) in narrative_types:  # only JSON null can put one there
-        narratives = [["" if cell is None else cell for cell in column]
-                      for column in narratives]
     return list(map(FmeaEntry, components, failure_modes,
                     map(_triple, severities, occurrences, detections), *narratives,
                     map(labels.__getitem__, declared)))
@@ -206,16 +187,6 @@ def _entry(values: Iterable[object], errors: list[ParseError], source_kind: str,
     for name in sorted(problems, key=_PROBLEM_ORDER.index):
         errors.append(ParseError(source_kind, problems[name], row, prefix + name))
     return entry
-
-
-def _csv_ratings(cells: Sequence[str]) -> list[int | str]:
-    """Rating cells as their ratings: each is looked up as spelt ("05"
-    misses), else read by rating_from_text, else left as text to reject."""
-    ratings = list(map(_RATINGS_BY_TEXT.get, cells))
-    if None in ratings:
-        ratings = [rating or rating_from_text(cell) or cell
-                   for rating, cell in zip(ratings, cells)]
-    return ratings
 
 
 def _check_duplicates(keyed: list[tuple[tuple[str, str], int]],
@@ -271,7 +242,7 @@ def parse_csv(data: bytes) -> Worksheet:
     if set(map(len, body)) <= {len(header)}:
         transposed = list(zip(*body)) or [()] * len(header)
         columns = [transposed[i] for i in positions]
-        columns[2:5] = map(_csv_ratings, columns[2:5])
+        columns[2:5] = [list(map(_RATINGS_BY_TEXT.get, column)) for column in columns[2:5]]
         entries = _accept(columns)
     if entries is None:
         pick = itemgetter(*positions)
@@ -284,7 +255,7 @@ def parse_csv(data: bytes) -> Worksheet:
                     row=record_index))
                 continue
             values = list(pick(cells))
-            values[2:5] = _csv_ratings(values[2:5])
+            values[2:5] = [rating_from_text(cell) or cell for cell in values[2:5]]
             entry = _entry(values, errors, "csv", record_index, "")
             keyed_rows.append(((entry.component, entry.failure_mode), record_index))
             entries.append(entry)
@@ -344,9 +315,9 @@ def parse_json(data: bytes) -> Worksheet:
     entries = None
     if set(map(type, raw_entries)) <= {dict} \
             and set(chain.from_iterable(raw_entries)) <= _COLUMN_SET \
-            and not _may_hold_lone_surrogate(text):
-        entries = _accept([list(map(dict.get, raw_entries, repeat(name), repeat(default)))
-                           for name, default in zip(CSV_COLUMNS, _JSON_DEFAULTS)])
+            and _SURROGATE_ESCAPE.search(text) is None:
+        entries = _accept([list(map(dict.get, raw_entries, repeat(name)))
+                           for name in CSV_COLUMNS])
     if entries is None:
         entries = []
         keyed: list[tuple[tuple[str, str], int]] = []
@@ -357,8 +328,7 @@ def parse_json(data: bytes) -> Worksheet:
                 continue
             errors.extend(ParseError("json", "unknown field", column=f"{path}.{name}")
                           for name in item if name not in _COLUMN_SET)
-            entry = _entry(map(item.get, CSV_COLUMNS, _JSON_DEFAULTS), errors, "json",
-                           None, f"{path}.")
+            entry = _entry(map(item.get, CSV_COLUMNS), errors, "json", None, f"{path}.")
             keyed.append(((entry.component, entry.failure_mode), index))
             entries.append(entry)
         _check_duplicates(keyed, "json", errors)

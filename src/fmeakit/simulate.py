@@ -28,7 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scales import OCCURRENCE_DENOMINATORS, all_ratings, check_rating, rating_from_rate
+from .scales import (
+    OCCURRENCE_DENOMINATORS,
+    all_ratings,
+    check_rating,
+    occurrence_rate,
+    rating_from_rate,
+)
 from .worksheet import Worksheet, _filled
 
 _SEED_MAX = 2**64 - 1
@@ -135,8 +141,7 @@ def _stream_states(seed: int, key_words: np.ndarray) -> list[tuple[int, int]]:
     return states
 
 
-# occurrence_rate(r).probability for each rating, looked up once.
-_PROBABILITY = {r: 1 / n for r, n in OCCURRENCE_DENOMINATORS.items()}
+_PROBABILITY = {r: occurrence_rate(r).probability for r in OCCURRENCE_DENOMINATORS}
 
 
 def _simulate(ratings: list[int], cfg: SimConfig,

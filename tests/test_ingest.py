@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
+from unittest import mock
 
 import pytest
 
@@ -22,6 +24,7 @@ from fmeakit import (
     parse_csv,
     parse_json,
 )
+from fmeakit.ingest import csv_text
 
 HEADER = ",".join(CSV_COLUMNS)
 
@@ -311,6 +314,39 @@ def test_escaped_surrogate_pair_sheet_parses_like_emit_json(fixture_ws):
     escaped = json.dumps(json.loads(emit_json(ws))).encode("utf-8")
     assert b"\\ud83d\\ude00" in escaped
     assert parse_json(escaped) == parse_json(emit_json(ws)) == ws
+
+
+def _by_column(parse, data: bytes) -> Worksheet:
+    # With the row builder made to raise, only the column path can parse.
+    with mock.patch("fmeakit.ingest._entry", side_effect=AssertionError("by row")):
+        return parse(data)
+
+
+def test_workload_spellings_take_the_column_path_and_others_agree():
+    # Every benchmark workload sends a sheet shaped as fmeakit writes it,
+    # as the bundled CSV (which is emit_csv's) or emit_json. Each is read
+    # by column.
+    ws = microgrid_worksheet()
+    assert _by_column(parse_csv, bundled_csv_bytes()).entries == ws.entries
+    assert _by_column(parse_json, emit_json(ws)) == ws
+
+    # Any other valid spelling of the sheet is read row by row, to the
+    # entries of its canonical spelling (an escaped emoji pair: see
+    # test_escaped_surrogate_pair_sheet_parses_like_emit_json).
+    document = json.loads(emit_json(ws))
+    first = document["entries"][0]
+    first["effect"] = ""
+    blank = _by_column(parse_json, json.dumps(document, ensure_ascii=False).encode("utf-8"))
+    first["effect"] = None
+    assert parse_json(json.dumps(document).encode("utf-8")) == blank
+    del first["effect"]
+    assert parse_json(json.dumps(document).encode("utf-8")) == blank
+
+    rows = list(csv.reader(io.StringIO(emit_csv(ws).decode("utf-8"))))
+    padded = [rows[0]] + [[*row[:2], *("0" + cell for cell in row[2:5]), *row[5:]]
+                          for row in rows[1:]]
+    assert {"05", "010"} <= {cell for row in padded[1:] for cell in row[2:5]}
+    assert parse_csv(csv_text(padded).encode("utf-8")).entries == ws.entries
 
 
 def test_csv_round_trip_fixture(fixture_ws):
