@@ -39,7 +39,7 @@ class ClassBands:
 
     def __post_init__(self):
         cuts = (self.marginal_min, self.critical_min, self.catastrophic_min)
-        if not all(isinstance(c, int) and not isinstance(c, bool) for c in cuts):
+        if not set(map(type, cuts)) <= {int}:
             raise ValueError(f"band cut points must be integers, got {cuts}")
         if not (RPN_MIN < self.marginal_min < self.critical_min
                 < self.catastrophic_min <= RPN_MAX):

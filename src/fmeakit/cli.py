@@ -46,11 +46,7 @@ class _UsageError(Exception):
 
 
 class _InputError(Exception):
-    """Unreadable or unparseable input (exit 1); carries diagnostic lines."""
-
-    def __init__(self, lines: list[str]):
-        super().__init__("; ".join(lines))
-        self.lines = lines
+    """Unreadable input (exit 1); carries its one diagnostic line."""
 
 
 def _load(path: str) -> Worksheet:
@@ -66,7 +62,7 @@ def _load(path: str) -> Worksheet:
     try:  # an endless input, such as /dev/zero, ends in MemoryError
         if path == "-":
             if sys.stdin is None:  # the process started with fd 0 closed
-                raise _InputError(["error: cannot read -: standard input is closed"])
+                raise _InputError("error: cannot read -: standard input is closed")
             data = sys.stdin.buffer.read()
         else:
             try:
@@ -74,12 +70,10 @@ def _load(path: str) -> Worksheet:
                     data = handle.read()
             except OSError as exc:
                 reason = exc.strerror or str(exc)
-                raise _InputError([f"error: cannot read {path}: {reason}"]) from exc
+                raise _InputError(f"error: cannot read {path}: {reason}") from exc
         return parse(data)
-    except ParseFailure as exc:
-        raise _InputError([str(err) for err in exc.errors]) from exc
     except MemoryError as exc:
-        raise _InputError([f"error: cannot read {path}: out of memory"]) from exc
+        raise _InputError(f"error: cannot read {path}: out of memory") from exc
 
 
 def _ascii_int(text: str) -> int:
@@ -120,6 +114,13 @@ def _cmd_validate(args: argparse.Namespace) -> str:
     return f"OK: {len(_load(args.file))} entries, no violations\n"
 
 
+# Each --format choice, in --help order, and its renderer.
+_ANALYSIS_RENDERERS = {"md": render_analysis_markdown, "csv": render_analysis_csv,
+                       "json": render_analysis_json}
+_MATRIX_RENDERERS = {"text": render_matrix_text, "csv": render_matrix_csv,
+                     "svg": render_matrix_svg}
+
+
 def _cmd_analyze(args: argparse.Namespace) -> str:
     ws = _load(args.file)
     bands = args.bands
@@ -127,21 +128,12 @@ def _cmd_analyze(args: argparse.Namespace) -> str:
     groups = collisions(ws)
     flagged = [r for r in results if r.discrepancy]
     summary = summary_stats(ws, bands)
-    parts = (ws, results, groups, flagged, summary, bands)
-    if args.format == "md":
-        return render_analysis_markdown(*parts)
-    if args.format == "csv":
-        return render_analysis_csv(*parts)
-    return render_analysis_json(*parts)
+    return _ANALYSIS_RENDERERS[args.format](ws, results, groups, flagged, summary, bands)
 
 
 def _cmd_matrix(args: argparse.Namespace) -> str | bytes:
     matrix = risk_matrix(_load(args.file), MatrixAxes(args.axes))
-    if args.format == "svg":
-        return render_matrix_svg(matrix)
-    if args.format == "csv":
-        return render_matrix_csv(matrix)
-    return render_matrix_text(matrix)
+    return _MATRIX_RENDERERS[args.format](matrix)
 
 
 def _cmd_report(args: argparse.Namespace) -> str:
@@ -210,14 +202,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bands", type=_bands_type, default=DEFAULT_BANDS,
                    metavar="B1,B2,B3",
                    help="ascending class cut points (default 100,200,500)")
-    p.add_argument("--format", choices=("md", "csv", "json"), default="md")
+    p.add_argument("--format", choices=tuple(_ANALYSIS_RENDERERS), default="md")
     p.set_defaults(handler=_cmd_analyze)
 
     p = sub.add_parser("matrix", help="10x10 risk matrix")
     p.add_argument("file", help=file_help)
-    p.add_argument("--axes", choices=("s-d", "s-o"), required=True,
+    p.add_argument("--axes", choices=[axes.value for axes in MatrixAxes], required=True,
                    help="severity vs detection (s-d) or occurrence (s-o)")
-    p.add_argument("--format", choices=("text", "csv", "svg"), default="text")
+    p.add_argument("--format", choices=tuple(_MATRIX_RENDERERS), default="text")
     p.set_defaults(handler=_cmd_matrix)
 
     p = sub.add_parser("report", help="full FMEA report in rank order")
@@ -270,9 +262,8 @@ def run(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 2
-    except _InputError as exc:
-        for line in exc.lines:
-            print(line, file=sys.stderr)
+    except (_InputError, ParseFailure) as exc:
+        print(exc, file=sys.stderr)
         return 1
     except BrokenPipeError:
         return 1

@@ -107,13 +107,16 @@ def _decode(data: bytes, source_kind: str) -> str:
             source_kind, f"not valid UTF-8 at byte {exc.start}", row=line)]) from exc
 
 
-def _unicode_problem(text: str) -> str | None:
-    # JSON escapes can spell a lone surrogate, which no output can encode.
+def _text_problem(value: object) -> str | None:
+    # Text is a str that UTF-8 encodes: JSON escapes can spell a lone
+    # surrogate, which no output can encode.
+    if not isinstance(value, str):
+        return f"must be a string, got {value!r}"
     try:
-        text.encode("utf-8")
+        value.encode("utf-8")
     except UnicodeEncodeError as exc:
         return (f"must be valid Unicode, got lone surrogate "
-                f"{text[exc.start]!r} at character {exc.start}")
+                f"{value[exc.start]!r} at character {exc.start}")
     return None
 
 
@@ -162,9 +165,7 @@ def _entry(values: Iterable[object], errors: list[ParseError], source_kind: str,
         if value is None:
             if name in _REQUIRED_FIELDS:
                 problems[name] = "missing required field"
-        elif not isinstance(value, str):
-            problems[name] = f"must be a string, got {value!r}"
-        elif (problem := _unicode_problem(value)) is not None:
+        elif (problem := _text_problem(value)) is not None:
             problems[name] = problem
         else:
             text[name] = value
@@ -301,9 +302,7 @@ def parse_json(data: bytes) -> Worksheet:
             errors.append(ParseError("json", "unknown field", column=name))
 
     title = document.get("title", "")
-    problem = f"must be a string, got {title!r}" if not isinstance(title, str) \
-        else _unicode_problem(title)
-    if problem is not None:
+    if (problem := _text_problem(title)) is not None:
         errors.append(ParseError("json", problem, column="title"))
         title = ""
 

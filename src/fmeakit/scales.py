@@ -197,6 +197,6 @@ def rating_from_rate(probability: float) -> int:
     Raises:
         ValueError: if probability is not in (0, 1].
     """
-    if not (0.0 < probability <= 1.0) or math.isnan(probability):
+    if not 0.0 < probability <= 1.0:
         raise ValueError(f"probability must be in (0, 1], got {probability!r}")
     return RATING_MIN + bisect_right(_RATE_BOUNDARIES, probability)

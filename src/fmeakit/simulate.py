@@ -60,12 +60,10 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.trials, int) or isinstance(self.trials, bool) \
-                or not 1 <= self.trials <= _TRIALS_MAX:
+        if type(self.trials) is not int or not 1 <= self.trials <= _TRIALS_MAX:
             raise ValueError(f"trials must be an integer in [1, 2**63 - 1], "
                              f"got {self.trials!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) \
-                or not 0 <= self.seed <= _SEED_MAX:
+        if type(self.seed) is not int or not 0 <= self.seed <= _SEED_MAX:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
 

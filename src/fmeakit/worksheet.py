@@ -10,7 +10,7 @@ violations so a whole worksheet can be fixed in one pass.
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum, unique
 from typing import TypeVar
 
@@ -170,7 +170,7 @@ def validate_worksheet(ws: Worksheet) -> list[Violation]:
     violations: list[Violation] = []
     for index, entry in enumerate(ws.entries):
         for v in validate_entry(entry):
-            violations.append(replace(v, entry_index=index))
+            violations.append(Violation(v.field, v.message, index))
 
     keyed = (((e.component, e.failure_mode), i) for i, e in enumerate(ws.entries))
     violations += [Violation("component, failure_mode", message, entry_index=first)

@@ -22,11 +22,14 @@ from hypothesis import strategies as st
 from fmeakit import (
     CSV_COLUMNS,
     FmeaEntry,
+    ParseFailure,
     RatingTriple,
     Worksheet,
     emit_csv,
     emit_json,
     microgrid_worksheet,
+    parse_csv,
+    parse_json,
 )
 from fmeakit.cli import build_parser, run
 
@@ -323,6 +326,43 @@ def test_parse_errors_keep_stdout_clean(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "[csv] row 3" in captured.err
+
+
+# Errors on three rows: a rating off the scale, a short row, and a bad
+# rating and class on a row that repeats the first row's pair.
+MULTI_ERROR_CSV = (",".join(CSV_COLUMNS) + "\n"
+                   "Pump,Seal leak,5,5,11,,,,,,\n"
+                   "Fan,Stall\n"
+                   "Pump,Seal leak,x,5,5,,,,,,Bogus\n").encode()
+MULTI_ERROR_JSON = (b'{"title": 7, "entries": [3, {"component": "Pump", '
+                    b'"failure_mode": "Seal leak", "severity": 0}]}')
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze", "report"])
+@pytest.mark.parametrize(("suffix", "data", "parse", "where"), [
+    (".csv", MULTI_ERROR_CSV, parse_csv, {2, 3, 4, "component, failure_mode"}),
+    (".json", MULTI_ERROR_JSON, parse_json, {"title", "entries[0]"}),
+], ids=["csv", "json"])
+def test_parse_failure_is_printed_as_its_own_text(tmp_path, capsys, command, suffix, data,
+                                                  parse, where):
+    with pytest.raises(ParseFailure) as failure:
+        parse(data)
+    errors = failure.value.errors
+    assert where <= {e.row for e in errors} | {e.column for e in errors}
+    sheet = tmp_path / f"bad{suffix}"
+    sheet.write_bytes(data)
+    assert run([command, str(sheet)]) == 1
+    assert capsys.readouterr() == ("", f"{failure.value}\n")
+
+
+@pytest.mark.parametrize(("command", "usage"), [
+    ("analyze", "[--bands B1,B2,B3] [--format {md,csv,json}] file"),
+    ("matrix", "--axes {s-d,s-o} [--format {text,csv,svg}] file"),
+])
+def test_usage_lists_each_choice_in_order(capsys, monkeypatch, command, usage):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+    assert run([command]) == 2
+    assert capsys.readouterr().err.startswith(f"usage: fmeakit {command} [-h] {usage}\n")
 
 
 def test_json_input_by_extension(tmp_path, fixture_ws, capsys):

@@ -43,7 +43,7 @@ from fmeakit.ingest import (
     _accept,
     _check_duplicates,
     _entry,
-    _unicode_problem,
+    _text_problem,
     csv_text,
 )
 from fmeakit.report import (
@@ -443,7 +443,7 @@ _surrogate_texts = st.text(st.sampled_from("\ud83d\ude00\\uDx\U0001F600"), max_s
                           _surrogate_texts.map(json.dumps)), min_size=1, max_size=3))
 def test_lone_surrogate_scan_misses_no_lone_surrogate(strings):
     text = "[" + ", ".join(strings) + "]"
-    lone = any(_unicode_problem(value) is not None for value in json.loads(text))
+    lone = any(_text_problem(value) is not None for value in json.loads(text))
     if lone:
         assert _SURROGATE_ESCAPE.search(text), text
 

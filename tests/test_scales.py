@@ -10,6 +10,7 @@ from fmeakit import (
     DETECTION_SCALE,
     OCCURRENCE_SCALE,
     SEVERITY_SCALE,
+    ClassBands,
     FmeaEntry,
     RatingRangeError,
     RatingTriple,
@@ -134,6 +135,18 @@ def test_all_ratings_takes_what_check_rating_takes():
         assert [v.field for v in validate_entry(entry)] == ["occurrence"]
     with pytest.raises(RatingRangeError):
         simulate_occurrence(_Level(5), SimConfig(trials=100))
+
+
+def test_cut_points_trials_and_seed_take_only_a_plain_int():
+    # The rating rule: an int subclass is refused, as a bool is.
+    with pytest.raises(ValueError, match=r"^band cut points must be integers, "
+                                         r"got \(100, 200, 500\)$"):
+        ClassBands(_Level(100), 200, 500)
+    with pytest.raises(ValueError, match=r"^trials must be an integer in \[1, 2\*\*63 - 1\], "
+                                         r"got 5$"):
+        SimConfig(trials=_Level(5))
+    with pytest.raises(ValueError, match=r"^seed must be a 64-bit unsigned integer, got 5$"):
+        SimConfig(1, seed=_Level(5))
 
 
 def test_check_rating_error_carries_field_name():

@@ -81,3 +81,12 @@ def test_package_loads_every_private_name_it_defines():
     unloaded = [(module, line, name) for module, source in sources.items()
                 for line, name in private_definitions(source) if name not in loaded]
     assert unloaded == []
+
+
+def test_all_lists_every_name_the_package_imports():
+    # The re-export list is spelt twice, as imports and as __all__.
+    init = Path(fmeakit.__file__).read_text(encoding="utf-8")
+    imported = [alias.asname or alias.name for node in ast.parse(init).body
+                if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for alias in node.names]
+    assert sorted(fmeakit.__all__) == sorted(imported)
