@@ -169,9 +169,10 @@ def _cmd_scales(args: argparse.Namespace) -> str:
 class _ArgumentParser(argparse.ArgumentParser):
     """An argparse parser that keeps "--" as an option's attached value.
 
-    Python 3.11's argparse drops the "--" of --bands=-- and hands the option
-    an empty list in place of a string, which no type or choices check sees;
-    here the "--" is the value, checked like any other.
+    The argparse of Python 3.11.7 and 3.12.1 drops the "--" of --bands=--
+    and hands the option an empty list in place of a string, which no type
+    or choices check sees; that of 3.13.0 keeps it. Here the "--" is the
+    value on every version, checked like any other.
     """
 
     def _get_values(self, action, arg_strings):

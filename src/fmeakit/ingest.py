@@ -50,10 +50,6 @@ CSV_COLUMNS = (*_REQUIRED_FIELDS, *RATING_FIELDS, *_NARRATIVE_FIELDS,
 # The order in which an entry's problems are reported.
 _PROBLEM_ORDER = (*_REQUIRED_FIELDS, *RATING_FIELDS, "declared_classification",
                   *_NARRATIVE_FIELDS)
-# The csv module's reader refuses NUL before Python 3.11, so it reads this
-# stand-in for NUL instead. A lone surrogate: no text decoded from UTF-8
-# holds one.
-_NUL_STAND_IN = "\ud800"
 _COLUMN_SET = frozenset(CSV_COLUMNS)
 # Declared-class text, stripped and lowercased -> its label; blank declares none.
 _CLASS_BY_TEXT = {"": None, **_LABELS_BY_TEXT}
@@ -210,7 +206,7 @@ def parse_csv(data: bytes) -> Worksheet:
     # No field is longer than the text. The process's own limit is restored.
     limit = csv.field_size_limit()
     csv.field_size_limit(max(limit, len(text)))
-    reader = csv.reader(io.StringIO(text.replace("\0", _NUL_STAND_IN), newline=""))
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         rows = list(reader)
     except csv.Error as exc:
@@ -218,8 +214,6 @@ def parse_csv(data: bytes) -> Worksheet:
             "csv", f"malformed CSV: {exc}", row=reader.line_num)]) from exc
     finally:
         csv.field_size_limit(limit)
-    if "\0" in text:
-        rows = [[cell.replace(_NUL_STAND_IN, "\0") for cell in row] for row in rows]
 
     if not rows:
         raise ParseFailure([ParseError("csv", "missing header row", row=1)])

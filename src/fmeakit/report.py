@@ -13,6 +13,7 @@ import json
 from collections.abc import Callable, Iterable
 from itertools import chain, repeat
 from json.encoder import encode_basestring
+from operator import attrgetter
 
 from .analysis import (
     ClassBands,
@@ -373,26 +374,45 @@ def analysis_payload(ws: Worksheet, results: list[RpnResult],
     return json.loads(render_analysis_json(ws, results, groups, flagged, summary, bands))
 
 
+# The simulation table's padded columns, each a SimResult field and the
+# conversion that spells its cell; the last column, agrees, is yes or no.
+_SIM_COLUMNS = (("rating_in", "s"), ("trials", "s"), ("failures", "s"),
+                ("empirical_rate", ".8f"), ("rating_out", "s"))
+_SIM_FIELDS = (*(field for field, _ in _SIM_COLUMNS), "agrees")
+
+
 def render_simulation_text(results: list[SimResult],
                            components: list[str] | None = None) -> str:
     """Simulation results as an aligned text table, one template per row:
     each column left-aligned to its widest cell, two spaces apart, the
     last one unpadded.
 
-    When components is given (worksheet mode) a leading component column
-    identifies each row, each line break in it a space.
+    When components is given (worksheet mode), one per result, a leading
+    component column identifies each row, each line break in it a space.
+
+    Each row is written straight from its result: the ints by %s, the
+    rate to eight decimals, agrees as yes or no. A column's width comes
+    from its field's least and greatest value, whose cells are the widest
+    for ints and finite floats, which is what simulate makes; no cell is
+    spelt to size a column.
     """
-    headers: tuple[str, ...] = ("rating_in", "trials", "failures",
-                                "empirical_rate", "rating_out", "agrees")
-    rows = [(str(result.rating_in), str(result.trials), str(result.failures),
-             f"{result.empirical_rate:.8f}", str(result.rating_out),
-             "yes" if result.agrees else "no") for result in results]
-    if components is not None:
-        headers = ("component", *headers)
-        rows = [(_one_line(component), *row) for component, row in zip(components, rows)]
-    widths = [max(map(len, column)) for column in zip(headers, *rows)]
-    row = "".join(["%%-%ds  " % width for width in widths[:-1]]) + "%s\n"
-    return "".join([row % cells for cells in (headers, *rows)])
+    # Without components, the component column is taken by %.0s, which writes nothing.
+    names: Iterable[str] = repeat("") if components is None else components
+    head = row = "%.0s" if components is None else "%%-%ds  " % max(
+        map(len, map(_one_line, chain(["component"], components))))
+    for field, conversion in _SIM_COLUMNS:
+        width = len(field)
+        if results:
+            value = attrgetter(field)
+            for end in min(map(value, results)), max(map(value, results)):
+                width = max(width, len(("%" + conversion) % end))
+        head += "%%-%ds  " % width
+        row += "%%-%d%s  " % (width, conversion)
+    cells = ((_one_line(name), result.rating_in, result.trials, result.failures,
+              result.empirical_rate, result.rating_out, "yes" if result.agrees else "no")
+             for name, result in zip(names, results))
+    return "".join(chain([(head + "%s\n") % ("component", *_SIM_FIELDS)],
+                         map((row + "%s\n").__mod__, cells)))
 
 
 _SCALES = tuple(zip(RATING_FIELDS, (SEVERITY_SCALE, OCCURRENCE_SCALE, DETECTION_SCALE)))

@@ -398,7 +398,7 @@ def test_carriage_returns_round_trip_through_csv():
 
 
 def test_nul_round_trips_through_csv_and_matches_json():
-    # The csv module refuses NUL before Python 3.11; both formats take it.
+    # The csv module's reader and writer take NUL as is; both formats do.
     ws = Worksheet("", [FmeaEntry("A\0B", "Seal leak", RatingTriple(1, 1, 1),
                                   effect="x\0", cause='"\0,')])
     data = emit_csv(ws)

@@ -559,11 +559,9 @@ def test_analysis_json_by_template_is_the_payload_written(ws, bands):
 def _csv_module_text(rows):
     """Rows as the csv module's writer spells them, each ended by a line
     feed. Rows are written ending in CRLF, so that a bare CR or LF is
-    quoted before Python 3.13, and the CR is dropped; a lone surrogate is
-    the escape character, so that NUL goes through as is."""
+    quoted before Python 3.13, and the CR is dropped."""
     lines = []
-    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n",
-               escapechar="\ud800").writerows(rows)
+    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n").writerows(rows)
     return "".join(line[:-2] + "\n" for line in lines)
 
 
@@ -731,12 +729,14 @@ def _simulation_table(results, components=None):
     return "\n".join([fmt(*row).rstrip() for row in (headers, *rows)]) + "\n"
 
 
-@st.composite
-def sim_results(draw):
-    trials = draw(st.integers(1, 2**63 - 1))
-    failures = draw(st.integers(0, trials))
-    return SimResult(draw(ratings), trials, failures, failures / trials, draw(ratings),
-                     draw(st.booleans()))
+# Every well-typed result, not only those simulate makes: ints and rates
+# in simulate's range, and also negative and 19-digit ints and rates below
+# 0 and above 1.
+_sim_ints = ratings | st.integers(-(10**19 - 1), 10**19 - 1)
+_sim_rates = st.floats(0, 1) | st.floats(allow_nan=False, allow_infinity=False)
+sim_results = st.builds(SimResult, _sim_ints, _sim_ints, _sim_ints, _sim_rates, _sim_ints,
+                        st.booleans())
+_far_result = SimResult(-(10**19 - 1), 10**19 - 1, -1, -12345.678, 10**19 - 1, False)
 
 
 # Component text with LF, CR, CRLF, spaces, non-ASCII and wide characters.
@@ -746,9 +746,12 @@ _component_text = st.lists(st.sampled_from(
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(sim_results(), _component_text), max_size=12), st.booleans())
+@given(st.lists(st.tuples(sim_results, _component_text), max_size=12), st.booleans())
 @example([], True)
 @example([], False)
+@example([(_far_result, "Pump")], True)
+@example([(_far_result, "Pump")], False)
+@example([(SimResult(12, -5, 0, 1.5, -1, True), "a\r\nb"), (_far_result, "c")], True)
 def test_simulation_table_by_template_is_the_stripped_rows(rows, worksheet_mode):
     results = [result for result, _ in rows]
     components = [component for _, component in rows] if worksheet_mode else None
