@@ -10,7 +10,7 @@ tool, so any change to them is a contract change.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from itertools import chain, repeat
 from json.encoder import encode_basestring
 from operator import attrgetter
@@ -129,6 +129,16 @@ def render_fmea_report(ws: Worksheet, results: list[RpnResult]) -> str:
     return "".join(sections)
 
 
+# The matrix layout: ratings 1 to 10 across, severity 10 at the top.
+_AXIS = range(1, 11)
+
+
+def _matrix_rows(matrix: RiskMatrix) -> Iterator[tuple[int, list[int]]]:
+    """Each severity row, top first, with its counts for ratings 1 to 10."""
+    for severity in reversed(_AXIS):
+        yield severity, [matrix.count(severity, x) for x in _AXIS]
+
+
 def render_matrix_text(matrix: RiskMatrix) -> str:
     """Render a 10x10 count grid, severity 10 at the top, zeros as "."."""
     second = matrix.axes.second_name
@@ -138,23 +148,18 @@ def render_matrix_text(matrix: RiskMatrix) -> str:
         f"Rows: severity 10 (top) to 1. Columns: {second.lower()} 1 to 10. "
         "Zero cells shown as \".\".",
         "",
-        f"{corner:>4}" + "".join(f"{x:>5}" for x in range(1, 11)),
+        f"{corner:>4}" + "".join(f"{x:>5}" for x in _AXIS),
     ]
-    for severity in range(10, 0, -1):
-        cells = []
-        for x in range(1, 11):
-            count = matrix.count(severity, x)
-            cells.append(f"{count if count else '.':>5}")
-        lines.append(f"{severity:>4}" + "".join(cells))
+    for severity, counts in _matrix_rows(matrix):
+        lines.append(f"{severity:>4}" + "".join(f"{count or '.':>5}" for count in counts))
     return "\n".join(lines) + "\n"
 
 
 def render_matrix_csv(matrix: RiskMatrix) -> str:
     """Render the count grid as CSV, one row per severity (10 down to 1)."""
     prefix = matrix.axes.second_name[0].lower()
-    rows: list[list[object]] = [["severity"] + [f"{prefix}{x}" for x in range(1, 11)]]
-    for severity in range(10, 0, -1):
-        rows.append([severity] + [matrix.count(severity, x) for x in range(1, 11)])
+    rows: list[list[object]] = [["severity"] + [f"{prefix}{x}" for x in _AXIS]]
+    rows += ([severity, *counts] for severity, counts in _matrix_rows(matrix))
     return csv_text(rows)
 
 
@@ -192,15 +197,13 @@ def render_matrix_svg(matrix: RiskMatrix) -> bytes:
         f'<text x="{grid_cx}" y="30" text-anchor="middle" font-size="18">'
         f'Risk matrix: Severity vs {second}</text>',
     ]
-    cells = []
     numerals = []
-    for severity in range(10, 0, -1):
+    for severity, counts in _matrix_rows(matrix):
         y = _TOP + (10 - severity) * _CELL
-        for x_rating in range(1, 11):
+        for x_rating, count in zip(_AXIS, counts):
             x = _LEFT + (x_rating - 1) * _CELL
-            count = matrix.count(severity, x_rating)
             fill = _heat_fill(count, max_count)
-            cells.append(
+            parts.append(
                 f'<rect class="cell" x="{x}" y="{y}" width="{_CELL}" '
                 f'height="{_CELL}" fill="{fill}" stroke="#cccccc"/>')
             if count:
@@ -208,14 +211,13 @@ def render_matrix_svg(matrix: RiskMatrix) -> bytes:
                 numerals.append(
                     f'<text x="{x + _CELL // 2}" y="{y + _CELL // 2 + 5}" '
                     f'text-anchor="middle" fill="{text_fill}">{count}</text>')
-    parts.extend(cells)
     parts.extend(numerals)
 
-    for x_rating in range(1, 11):
+    for x_rating in _AXIS:
         x = _LEFT + (x_rating - 1) * _CELL + _CELL // 2
         parts.append(f'<text x="{x}" y="{_TOP + 10 * _CELL + 20}" '
                      f'text-anchor="middle">{x_rating}</text>')
-    for severity in range(1, 11):
+    for severity in _AXIS:
         y = _TOP + (10 - severity) * _CELL + _CELL // 2 + 5
         parts.append(f'<text x="{_LEFT - 10}" y="{y}" '
                      f'text-anchor="end">{severity}</text>')

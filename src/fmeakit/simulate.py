@@ -15,15 +15,16 @@ is numpy's PCG64; a (seed, entry index) -> stream derivation makes
 worksheet runs independent of iteration order and scheduling. Determinism
 binds seed to count for a given build, not across numpy versions.
 
-Each stream is the one numpy's ``PCG64(SeedSequence(seed,
-spawn_key=key))`` starts, but the seed states of all streams are derived
-in one vectorised pass and drawn from through one reused generator, which
-is several times cheaper than building those objects per entry.
+A worksheet's entry i draws from the stream numpy's ``PCG64(SeedSequence(
+seed, spawn_key=(i,)))`` starts, but those seed states are derived here by
+hand, in one vectorised pass, and drawn from through one reused generator,
+which is several times cheaper than building those objects per entry. The
+single stream of ``simulate_occurrence`` is numpy's own ``PCG64(seed)``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,32 +97,29 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> _XSHIFT)
 
 
-def _stream_states(seed: int, key_words: np.ndarray) -> list[tuple[int, int]]:
-    """The PCG64 ``(state, inc)`` of ``PCG64(SeedSequence(seed, spawn_key))``
-    for every row of *key_words*, a uint32 array of shape (streams, k) whose
-    row holds the spawn key as SeedSequence splits it into 32-bit words
-    (k = 0 for the empty key, 1 for an index below 2**32).
+def _stream_states(seed: int, keys: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Yield the PCG64 ``(state, inc)`` of ``PCG64(SeedSequence(seed,
+    spawn_key=(key,)))`` for each key of *keys*, a 1-D uint32 array.
 
     Mirrors numpy's SeedSequence (entropy pooling, then generate_state(4,
-    uint64)) on whole columns of uint32 words, then PCG64's seeding in
-    Python integers. Every hash operand is a np.uint32 array or scalar, so
-    the arithmetic wraps at 32 bits under numpy 1.x casting and NEP 50 alike.
+    uint64)) for one-word spawn keys only, on whole arrays of uint32 words,
+    then PCG64's seeding in Python integers; the empty key's stream is
+    numpy's own PCG64(seed), not copied here. Every hash operand is a
+    np.uint32 array or scalar, so the arithmetic wraps at 32 bits under
+    numpy 1.x casting and NEP 50 alike.
     """
-    streams = key_words.shape[0]
     # A 64-bit seed is at most two words; the pool pads the entropy with
-    # zeros to its size, then the spawn key words are mixed in after it.
-    words = [np.full(streams, word, dtype=np.uint32)
-             for word in (seed & _MASK32, seed >> 32, 0, 0)]
-    words += list(key_words.T)
+    # zeros to its size, then the key word is mixed in after it. Until the
+    # key, every stream's pool is the same one-element array.
     hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(word) for word in words[:_POOL_SIZE]]
+    pool = [hashmix(np.full(1, word, dtype=np.uint32))
+            for word in (seed & _MASK32, seed >> 32, 0, 0)]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
                 pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(word))
+    for dst in range(_POOL_SIZE):
+        pool[dst] = _mix(pool[dst], hashmix(keys))
 
     # generate_state(4, uint64): eight words cycling over the pool, paired
     # little-endian into (seed high, seed low, sequence high, sequence low).
@@ -131,20 +129,17 @@ def _stream_states(seed: int, key_words: np.ndarray) -> list[tuple[int, int]]:
                | state_words[2 * j]).tolist() for j in range(4)]
 
     # PCG64 seeding: inc = 2 * sequence + 1; state 0, step, add the seed, step.
-    states = []
     for seed_hi, seed_lo, seq_hi, seq_lo in zip(*halves):
         inc = ((seq_hi << 65) | (seq_lo << 1) | 1) & _MASK128
-        state = (((seed_hi << 64 | seed_lo) + inc) * _PCG64_MULT + inc) & _MASK128
-        states.append((state, inc))
-    return states
+        yield (((seed_hi << 64 | seed_lo) + inc) * _PCG64_MULT + inc) & _MASK128, inc
 
 
 _PROBABILITY = {r: occurrence_rate(r).probability for r in OCCURRENCE_DENOMINATORS}
 
 
 def _simulate(ratings: list[int], cfg: SimConfig,
-              key_words: np.ndarray) -> list[SimResult]:
-    """Draw rating i from the stream whose spawn key is row i of key_words."""
+              streams: Iterable[tuple[int, int]]) -> list[SimResult]:
+    """Draw rating i from the i-th PCG64 ``(state, inc)`` of streams."""
     # A bare lookup would take True as rating 1; ratings are never coerced.
     if not all_ratings(ratings):
         for rating in ratings:  # raises for the first bad one
@@ -155,8 +150,7 @@ def _simulate(ratings: list[int], cfg: SimConfig,
     state = {"bit_generator": "PCG64", "state": stream, "has_uint32": 0, "uinteger": 0}
     trials = cfg.trials
     results = []
-    for rating, (stream["state"], stream["inc"]) in zip(
-            ratings, _stream_states(cfg.seed, key_words)):
+    for rating, (stream["state"], stream["inc"]) in zip(ratings, streams):
         bit_generator.state = state
         failures = int(binomial(trials, _PROBABILITY[rating]))
         empirical_rate = failures / trials
@@ -172,7 +166,8 @@ def simulate_occurrence(rating: int, cfg: SimConfig) -> SimResult:
 
     Fully determined by (rating, cfg.trials, cfg.seed).
     """
-    return _simulate([rating], cfg, np.empty((1, 0), dtype=np.uint32))[0]
+    stream = np.random.PCG64(cfg.seed).state["state"]
+    return _simulate([rating], cfg, [(stream["state"], stream["inc"])])[0]
 
 
 def simulate_worksheet(ws: Worksheet, cfg: SimConfig) -> list[SimResult]:
@@ -186,4 +181,5 @@ def simulate_worksheet(ws: Worksheet, cfg: SimConfig) -> list[SimResult]:
     if count > _MASK32 + 1:  # a larger index is a two-word spawn key
         raise ValueError(f"a worksheet simulates at most 2**32 entries, got {count}")
     ratings = [entry.triple.occurrence for entry in ws.entries]
-    return _simulate(ratings, cfg, np.arange(count, dtype=np.uint32).reshape(count, 1))
+    return _simulate(ratings, cfg,
+                     _stream_states(cfg.seed, np.arange(count, dtype=np.uint32)))

@@ -12,6 +12,9 @@ parser that alters any diagnostic, its order, or an accepted entry shows.
 Regenerate the golden file only for a deliberate diagnostic change:
 
     PYTHONPATH=src python tests/test_parse_corpus.py > tests/golden/parse_corpus.txt
+
+on CPython 3.11 or 3.12, whose json module words the one trailing comma
+in the corpus as the golden file does.
 """
 
 from __future__ import annotations
@@ -191,6 +194,12 @@ def corpus_lines(seed: int = SEED, count: int = DOCUMENTS_PER_FORMAT) -> list[st
 
 def test_corpus_diagnostics_match_golden():
     expected = GOLDEN.read_text(encoding="utf-8").split("\n")[:-1]
+    if sys.version_info >= (3, 13):
+        # The json module of 3.13 names a trailing comma, on the comma's line.
+        at = expected.index("# json 194") + 1
+        assert expected[at] == "[json] row 32: malformed JSON: Expecting value"
+        expected[at] = ("[json] row 31: malformed JSON: "
+                        "Illegal trailing comma before end of array")
     actual = corpus_lines()
     mismatches = [(e, a) for e, a in zip(expected, actual) if e != a]
     assert len(actual) == len(expected) and not mismatches, mismatches[:5]

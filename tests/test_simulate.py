@@ -153,32 +153,27 @@ def numpy_generator(seed, key):
 
 def test_stream_states_match_numpy_seed_sequence():
     indices = [*range(300), 65_535, 65_536, 2**20]
-    index_words = np.array(indices, dtype=np.uint32).reshape(-1, 1)
     for seed in ORACLE_SEEDS:
         expected = []
-        for key in [(index,) for index in indices] + [(), (2**32,), (2**64 - 1,)]:
-            state = numpy_generator(seed, key).bit_generator.state["state"]
+        for index in indices:
+            state = numpy_generator(seed, (index,)).bit_generator.state["state"]
             expected.append((state["state"], state["inc"]))
-        got = _stream_states(seed, index_words)
-        got += _stream_states(seed, np.empty((1, 0), dtype=np.uint32))
-        # a key of 2**32 or more is split into two little-endian words
-        got += _stream_states(seed, np.array([[0, 1], [2**32 - 1, 2**32 - 1]],
-                                             dtype=np.uint32))
-        assert got == expected
+        assert list(_stream_states(seed, np.array(indices, dtype=np.uint32))) == expected
 
 
 def test_draws_match_a_numpy_reference_loop(fixture_ws):
-    for trials in (1, 10**3, 10**9):
-        cfg = SimConfig(trials=trials, seed=7)
-        expected = [
-            int(numpy_generator(cfg.seed, (index,)).binomial(
-                trials, occurrence_rate(entry.triple.occurrence).probability))
-            for index, entry in enumerate(fixture_ws.entries)]
-        assert [r.failures for r in simulate_worksheet(fixture_ws, cfg)] == expected
-        for rating in range(1, 11):
-            failures = numpy_generator(cfg.seed, ()).binomial(
-                trials, occurrence_rate(rating).probability)
-            assert simulate_occurrence(rating, cfg).failures == failures
+    for seed in ORACLE_SEEDS:
+        for trials in (1, 10**3, 10**9):
+            cfg = SimConfig(trials=trials, seed=seed)
+            expected = [
+                int(numpy_generator(seed, (index,)).binomial(
+                    trials, occurrence_rate(entry.triple.occurrence).probability))
+                for index, entry in enumerate(fixture_ws.entries)]
+            assert [r.failures for r in simulate_worksheet(fixture_ws, cfg)] == expected
+            for rating in range(1, 11):
+                failures = numpy_generator(seed, ()).binomial(
+                    trials, occurrence_rate(rating).probability)
+                assert simulate_occurrence(rating, cfg).failures == failures
 
 
 def test_worksheet_past_one_word_indices_is_refused():
