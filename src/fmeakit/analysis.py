@@ -12,19 +12,22 @@ computed from RPN.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
+from .record import Record, record
 from .scales import RATING_MAX, all_ratings
-from .worksheet import ClassLabel, RatingTriple, Worksheet, _filled, repeated_keys
+from .worksheet import ClassLabel, RatingTriple, Worksheet, repeated_keys
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 RPN_MIN = 1
 RPN_MAX = 1000
 
 
-@dataclass(frozen=True)
-class ClassBands:
+@record
+class ClassBands(Record):
     """Ascending RPN cut points mapping [1, 1000] onto the four class labels.
 
     Negligible [1, marginal_min), Marginal [marginal_min, critical_min),
@@ -59,9 +62,8 @@ class ClassBands:
 DEFAULT_BANDS = ClassBands(100, 200, 500)
 
 
-@_filled
-@dataclass(frozen=True, slots=True)
-class RpnResult:
+@record
+class RpnResult(Record):
     """Computed risk of one entry: RPN, rank, and classification outcome."""
 
     entry_index: int
@@ -72,8 +74,8 @@ class RpnResult:
     discrepancy: bool
 
 
-@dataclass(frozen=True)
-class CollisionGroup:
+@record
+class CollisionGroup(Record):
     """Entries (two or more) sharing one exact RPN value."""
 
     rpn: int
@@ -92,8 +94,8 @@ class MatrixAxes(Enum):
                 else "Occurrence")
 
 
-@dataclass(frozen=True)
-class RiskMatrix:
+@record
+class RiskMatrix(Record):
     """10x10 grid of entry memberships over (severity, second-axis) cells.
 
     cells[s - 1][x - 1] holds the worksheet indices of entries with
@@ -116,8 +118,8 @@ class RiskMatrix:
         return max((len(cell) for row in self.cells for cell in row), default=0)
 
 
-@dataclass(frozen=True)
-class Summary:
+@record
+class Summary(Record):
     """Worksheet-level aggregates; min/max/mean are None when empty."""
 
     entries: int
@@ -216,6 +218,8 @@ def risk_matrix(ws: Worksheet, axes: MatrixAxes) -> RiskMatrix:
 
 def summary_stats(ws: Worksheet, bands: ClassBands = DEFAULT_BANDS) -> Summary:
     """Aggregate RPN statistics and class tallies for a worksheet."""
+    from fractions import Fraction  # loaded only when a summary is built
+
     values = [rpn(entry.triple) for entry in ws.entries]
     computed_counts = {label: 0 for label in ClassLabel}
     for value, count in Counter(values).items():  # at most 120 distinct RPNs

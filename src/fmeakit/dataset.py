@@ -22,7 +22,6 @@ bands.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from importlib import resources
 
 from .ingest import parse_csv
@@ -35,7 +34,7 @@ CSV_RESOURCE = "microgrid_cyber_fmea.csv"
 
 def microgrid_worksheet() -> Worksheet:
     """Return the bundled 15-entry microgrid cyber-component worksheet."""
-    return replace(parse_csv(bundled_csv_bytes()), title=WORKSHEET_TITLE)
+    return Worksheet(WORKSHEET_TITLE, parse_csv(bundled_csv_bytes()).entries)
 
 
 def bundled_csv_bytes() -> bytes:

@@ -23,12 +23,12 @@ import io
 import json
 import re
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
-from decimal import Decimal
 from functools import cache
 from itertools import chain, repeat
 from operator import itemgetter
+from typing import TYPE_CHECKING
 
+from .record import Record, record
 from .scales import _RATINGS_BY_TEXT, all_ratings, rating_from_text
 from .worksheet import (
     _LABELS_BY_TEXT,
@@ -40,6 +40,9 @@ from .worksheet import (
     duplicate_pairs,
     validate_entry,
 )
+
+if TYPE_CHECKING:
+    from decimal import Decimal
 
 _REQUIRED_FIELDS = ("component", "failure_mode")
 _NARRATIVE_FIELDS = ("effect", "end_effect", "cause", "prevention_controls",
@@ -61,8 +64,8 @@ _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 _triple = cache(RatingTriple)
 
 
-@dataclass(frozen=True)
-class ParseError:
+@record
+class ParseError(Record):
     """One located problem in an input document."""
 
     source_kind: str  # "csv" or "json"
@@ -264,6 +267,7 @@ def _json_int(text: str) -> int | Decimal:
     try:
         return int(text)
     except ValueError:  # past int()'s digit limit; no field takes a Decimal
+        from decimal import Decimal  # loaded only for such a number
         return Decimal(text)
 
 

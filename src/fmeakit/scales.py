@@ -12,8 +12,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections.abc import Collection
-from dataclasses import dataclass
 from itertools import chain
+
+from .record import Record, record
 
 RATING_MIN = 1
 RATING_MAX = 10
@@ -62,8 +63,8 @@ def check_rating(value: int, field: str = "rating") -> int:
     return value
 
 
-@dataclass(frozen=True)
-class ScaleRow:
+@record
+class ScaleRow(Record):
     """One row of a rating scale: numeric rating, short label, long criteria."""
 
     rating: int
@@ -71,8 +72,8 @@ class ScaleRow:
     criteria: str
 
 
-@dataclass(frozen=True)
-class OccurrenceRate:
+@record
+class OccurrenceRate(Record):
     """A "1 in N" point rate for an occurrence rating."""
 
     numerator: int

@@ -25,10 +25,10 @@ single stream of ``simulate_occurrence`` is numpy's own ``PCG64(seed)``.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
+from .record import Record, record
 from .scales import (
     OCCURRENCE_DENOMINATORS,
     all_ratings,
@@ -36,7 +36,7 @@ from .scales import (
     occurrence_rate,
     rating_from_rate,
 )
-from .worksheet import Worksheet, _filled
+from .worksheet import Worksheet
 
 _SEED_MAX = 2**64 - 1
 _TRIALS_MAX = 2**63 - 1  # numpy draws binomial counts as int64
@@ -53,8 +53,8 @@ _XSHIFT = np.uint32(16)
 _PCG64_MULT = 2549297995355413924 << 64 | 4865540595714422341
 
 
-@dataclass(frozen=True)
-class SimConfig:
+@record
+class SimConfig(Record):
     """Number of failure opportunities and the PRNG seed."""
 
     trials: int
@@ -68,9 +68,8 @@ class SimConfig:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
 
-@_filled
-@dataclass(frozen=True, slots=True)
-class SimResult:
+@record
+class SimResult(Record):
     """Outcome of one simulated scale point."""
 
     rating_in: int

@@ -10,44 +10,15 @@ violations so a whole worksheet can be fixed in one pass.
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable
-from dataclasses import MISSING, dataclass, fields
 from enum import Enum, unique
 from typing import TypeVar
 
+from .record import Record, record
 from .scales import all_ratings, rating_message
 
 RATING_FIELDS = ("severity", "occurrence", "detection")
 
 _K = TypeVar("_K", bound=Hashable)
-_T = TypeVar("_T")
-
-
-def _filled(cls: type[_T]) -> type[_T]:
-    """Give a frozen slotted dataclass an __init__ that sets each field
-    through its slot's member descriptor, bound once, about twice as fast as
-    the generated one, which sets each field through object.__setattr__.
-    The signature, defaults, equality, hash, repr, replace() and pickling
-    stay as they were. A class whose __init__ does more than fill fields
-    (__post_init__, a default factory, a field left out of or keyword-only
-    in __init__) is refused."""
-    params = fields(cls)
-    if hasattr(cls, "__post_init__") or any(
-            not f.init or f.kw_only is True or f.default_factory is not MISSING
-            for f in params):
-        raise TypeError(f"{cls.__name__}.__init__ does more than fill its fields")
-    namespace: dict[str, object] = {f"_set_{f.name}": cls.__dict__[f.name].__set__
-                                    for f in params}
-    namespace.update({f"_default_{f.name}": f.default for f in params
-                      if f.default is not MISSING})
-    signature = ", ".join(f"{f.name}=_default_{f.name}" if f.default is not MISSING
-                          else f.name for f in params)
-    body = "".join(f"\n    _set_{f.name}(self, {f.name})" for f in params)
-    exec(f"def __init__(self, {signature}):{body}", namespace)
-    init = namespace["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    init.__annotations__ = cls.__init__.__annotations__
-    cls.__init__ = init
-    return cls
 
 
 @unique
@@ -75,8 +46,8 @@ class ClassLabel(Enum):
 _LABELS_BY_TEXT = {label.value.lower(): label for label in ClassLabel}
 
 
-@dataclass(frozen=True)
-class RatingTriple:
+@record
+class RatingTriple(Record):
     """The (severity, occurrence, detection) ratings of one entry."""
 
     severity: int
@@ -84,9 +55,8 @@ class RatingTriple:
     detection: int
 
 
-@_filled
-@dataclass(frozen=True, slots=True)
-class FmeaEntry:
+@record
+class FmeaEntry(Record):
     """One worksheet row."""
 
     component: str
@@ -100,8 +70,8 @@ class FmeaEntry:
     declared_classification: ClassLabel | None = None
 
 
-@dataclass(frozen=True)
-class Worksheet:
+@record
+class Worksheet(Record):
     """Immutable, ordered collection of entries. May be empty."""
 
     title: str
@@ -114,8 +84,8 @@ class Worksheet:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class Violation:
+@record
+class Violation(Record):
     """A breached invariant, as data: which field, what went wrong, where."""
 
     field: str

@@ -525,6 +525,20 @@ def test_subprocess_analyze_json(fixture_csv):
     assert proc.stderr == b""
 
 
+def test_import_loads_numpy_but_no_record_or_summary_machinery(fixture_csv):
+    # numpy stays: perfbench/run.py::_numpy_import_ms reads numpy's line in
+    # the -X importtime output of `import fmeakit` and raises without it.
+    probe = ("import sys, fmeakit; print([name for name in ('numpy', 'dataclasses', "
+             "'fractions', 'decimal') if name in sys.modules])")
+    loaded = subprocess.run([sys.executable, "-c", probe],
+                            capture_output=True, text=True, timeout=60)
+    assert (loaded.returncode, loaded.stdout, loaded.stderr) == (0, "['numpy']\n", "")
+    # The summary's exact mean loads fractions when it is built.
+    analyze = subprocess.run([sys.executable, "-m", "fmeakit", "analyze", str(fixture_csv)],
+                             capture_output=True, text=True, timeout=60)
+    assert analyze.returncode == 0 and "mean 186.93" in analyze.stdout
+
+
 def test_subprocess_pipeline_matches_direct_file(fixture_csv):
     dataset = subprocess.run(
         [sys.executable, "-m", "fmeakit", "dataset"],

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
@@ -93,10 +92,11 @@ def test_rpn_bounds(triple):
 
 @given(triples)
 def test_rpn_strictly_monotone_in_each_factor(triple):
-    for factor in ("severity", "occurrence", "detection"):
-        value = getattr(triple, factor)
+    ratings = {"severity": triple.severity, "occurrence": triple.occurrence,
+               "detection": triple.detection}
+    for factor, value in ratings.items():
         if value < 10:
-            bumped = replace(triple, **{factor: value + 1})
+            bumped = RatingTriple(**{**ratings, factor: value + 1})
             assert rpn(bumped) > rpn(triple)
 
 
