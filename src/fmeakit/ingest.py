@@ -205,13 +205,17 @@ def parse_csv(data: bytes) -> Worksheet:
         ParseFailure: with every located error found in the document.
     """
     errors: list[ParseError] = []
-    text = _decode(data, "csv")
-    # No field is longer than the text. The process's own limit is restored.
+    # No field is longer than the bytes. The process's own limit is restored.
     limit = csv.field_size_limit()
-    csv.field_size_limit(max(limit, len(text)))
-    reader = csv.reader(io.StringIO(text, newline=""))
+    csv.field_size_limit(max(limit, len(data)))
+    # Decoded chunk by chunk, the text is never held whole; utf-8-sig drops
+    # one leading BOM, as _decode does.
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline=""))
     try:
         rows = list(reader)
+    except UnicodeDecodeError:
+        _decode(data, "csv")  # raises the located error
+        raise
     except csv.Error as exc:
         raise ParseFailure([ParseError(
             "csv", f"malformed CSV: {exc}", row=reader.line_num)]) from exc

@@ -10,21 +10,22 @@ that sample size.
 
 Failure counts are drawn directly from the binomial distribution, which is
 statistically equivalent to simulating the individual Bernoulli events and
-keeps the rare-rating cases (down to p = 1/1,500,000) fast. The generator
-is numpy's PCG64; a (seed, entry index) -> stream derivation makes
-worksheet runs independent of iteration order and scheduling. Determinism
-binds seed to count for a given build, not across numpy versions.
+keeps the rare-rating cases (down to p = 1/1,500,000) fast. A (seed, entry
+index) -> stream derivation makes worksheet runs independent of iteration
+order and scheduling.
 
-A worksheet's entry i draws from the stream numpy's ``PCG64(SeedSequence(
-seed, spawn_key=(i,)))`` starts, but those seed states are derived here by
-hand, in one vectorised pass, and drawn from through one reused generator,
-which is several times cheaper than building those objects per entry. The
-single stream of ``simulate_occurrence`` is numpy's own ``PCG64(seed)``.
+Entry i draws what numpy 2.4.6's ``Generator(PCG64(SeedSequence(seed,
+spawn_key=(i,)))).binomial`` draws, and ``simulate_occurrence`` what the
+empty key's ``PCG64(seed)`` draws, but nothing here calls numpy.random:
+the seed states are derived by hand, in one vectorised uint32 pass, and
+the generator and the sampler are copied in pure Python, bit for bit, so
+no count depends on numpy.random's code.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
+from math import exp, floor, log, sqrt
 
 import numpy as np
 
@@ -39,11 +40,12 @@ from .scales import (
 from .worksheet import Worksheet
 
 _SEED_MAX = 2**64 - 1
-_TRIALS_MAX = 2**63 - 1  # numpy draws binomial counts as int64
+_TRIALS_MAX = 2**63 - 1  # the copied sampler counts in int64, as numpy's does
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx) and the
 # PCG64 multiplier (numpy/random/src/pcg64/pcg64.h).
 _MASK32 = 2**32 - 1
+_MASK64 = 2**64 - 1
 _MASK128 = 2**128 - 1
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -96,20 +98,21 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> _XSHIFT)
 
 
-def _stream_states(seed: int, keys: np.ndarray) -> Iterator[tuple[int, int]]:
+def _stream_states(seed: int, keys: np.ndarray | None) -> Iterator[tuple[int, int]]:
     """Yield the PCG64 ``(state, inc)`` of ``PCG64(SeedSequence(seed,
-    spawn_key=(key,)))`` for each key of *keys*, a 1-D uint32 array.
+    spawn_key=(key,)))`` for each key of *keys*, a 1-D uint32 array, or
+    the one ``(state, inc)`` of ``PCG64(seed)`` when *keys* is None.
 
     Mirrors numpy's SeedSequence (entropy pooling, then generate_state(4,
-    uint64)) for one-word spawn keys only, on whole arrays of uint32 words,
-    then PCG64's seeding in Python integers; the empty key's stream is
-    numpy's own PCG64(seed), not copied here. Every hash operand is a
-    np.uint32 array or scalar, so the arithmetic wraps at 32 bits under
-    numpy 1.x casting and NEP 50 alike.
+    uint64)) for the empty key and one-word spawn keys, on whole arrays of
+    uint32 words, then PCG64's seeding in Python integers. Every hash
+    operand is a np.uint32 array or scalar, so the arithmetic wraps at 32
+    bits under numpy 1.x casting and NEP 50 alike.
     """
     # A 64-bit seed is at most two words; the pool pads the entropy with
-    # zeros to its size, then the key word is mixed in after it. Until the
-    # key, every stream's pool is the same one-element array.
+    # zeros to its size, which the empty key's pool does too, then a key
+    # word is mixed in after it. Until the key, every stream's pool is the
+    # same one-element array.
     hashmix = _hasher(_INIT_A, _MULT_A)
     pool = [hashmix(np.full(1, word, dtype=np.uint32))
             for word in (seed & _MASK32, seed >> 32, 0, 0)]
@@ -117,8 +120,9 @@ def _stream_states(seed: int, keys: np.ndarray) -> Iterator[tuple[int, int]]:
         for dst in range(_POOL_SIZE):
             if src != dst:
                 pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for dst in range(_POOL_SIZE):
-        pool[dst] = _mix(pool[dst], hashmix(keys))
+    if keys is not None:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(keys))
 
     # generate_state(4, uint64): eight words cycling over the pool, paired
     # little-endian into (seed high, seed low, sequence high, sequence low).
@@ -133,6 +137,147 @@ def _stream_states(seed: int, keys: np.ndarray) -> Iterator[tuple[int, int]]:
         yield (((seed_hi << 64 | seed_lo) + inc) * _PCG64_MULT + inc) & _MASK128, inc
 
 
+def _doubles(state: int, inc: int) -> Iterator[float]:
+    """numpy's PCG64 ``next_double`` from ``(state, inc)``: step the 128-bit
+    LCG, take its XSL-RR output (O'Neill, HMC-CS-2014-0905), and scale the
+    top 53 bits into [0, 1)."""
+    while True:
+        state = (state * _PCG64_MULT + inc) & _MASK128
+        rot = state >> 122
+        word = (state >> 64 ^ state) & _MASK64
+        yield (((word >> rot | word << 64 - rot) & _MASK64) >> 11) * 2.0**-53
+
+
+def _int64(value: int) -> int:
+    """*value* wrapped to int64, as numpy's C arithmetic wraps."""
+    return (value + 2**63 & _MASK64) - 2**63
+
+
+def _binomial(n: int, p: float) -> Callable[[Callable[[], float]], int]:
+    """numpy 2.4.6's ``random_binomial(n, p)``
+    (numpy/random/src/distributions/distributions.c) as a function of a
+    ``next_double``, its set-up done once.
+
+    Inversion when min(p, 1 - p) * n <= 30, BTPE otherwise (Kachitvichyanukul
+    & Schmeiser, "Binomial Random Variate Generation", CACM 31(2), 1988);
+    n minus a draw with 1 - p when p > 0.5. Every int64 in the C is a Python
+    int here, converted to float where the C converts it, once.
+    """
+    if p > 0.5:
+        draw = _binomial(n, 1.0 - p)
+        return lambda next_double: n - draw(next_double)
+    q = 1.0 - p
+    if p * n > 30.0:
+        return _btpe(n, p, q)
+    qn = exp(n * log(q))
+    np_ = n * p
+    bound = int(min(float(n), np_ + 10.0 * sqrt(np_ * q + 1)))
+
+    def inversion(next_double: Callable[[], float]) -> int:
+        x, px, u = 0, qn, next_double()
+        while u > px:
+            x += 1
+            if x > bound:
+                x, px, u = 0, qn, next_double()
+            else:
+                u -= px
+                px = (n - x + 1) * p * px / (x * q)
+        return x
+    return inversion
+
+
+def _btpe(n: int, p: float, q: float) -> Callable[[Callable[[], float]], int]:
+    """numpy's ``random_binomial_btpe`` for p <= 0.5 (so its r is p)."""
+    fm = n * p + p
+    m = floor(fm)
+    p1 = floor(2.195 * sqrt(n * p * q) - 4.6 * q) + 0.5
+    xm = m + 0.5
+    xl, xr = xm - p1, xm + p1
+    c = 0.134 + 20.5 / (15.3 + m)
+    a = (fm - xl) / (fm - xl * p)
+    laml = a * (1.0 + a / 2.0)
+    a = (xr - fm) / (xr * q)
+    lamr = a * (1.0 + a / 2.0)
+    p2 = p1 * (1.0 + 2.0 * c)
+    p3 = p2 + c / laml
+    p4 = p3 + c / lamr
+    nrq = n * p * q
+    k_squeeze = nrq / 2.0 - 1
+    s = p / q
+    # Wraps at n = 2**63 - 1, as the C does. No test sees it: at that n a
+    # draw all but never reaches the loop that reads it.
+    a = s * _int64(n + 1)
+    # The Stirling terms of f1 = m + 1 and z = n + 1 - m, which no draw moves.
+    f1 = float(m + 1)
+    z = float(n + 1 - m)
+    nm = n - m + 0.5
+    f_term = _stirling(f1)
+    z_term = _stirling(z)
+
+    def btpe(next_double: Callable[[], float]) -> int:
+        while True:
+            u = next_double() * p4
+            v = next_double()
+            if u <= p1:
+                return floor(xm - p1 * v + u)
+            if u <= p2:
+                x = xl + (u - p1) / c
+                v = v * c + 1.0 - abs(m - x + 0.5) / p1
+                if v > 1.0:
+                    continue
+                y = floor(x)
+            elif u <= p3:
+                if v == 0.0:  # log(0) is -inf in C; the draw is rejected
+                    continue
+                y = floor(xl + log(v) / laml)
+                if y < 0:
+                    continue
+                v = v * (u - p2) * laml
+            else:
+                if v == 0.0:
+                    continue
+                y = floor(xr - log(v) / lamr)
+                if y > n:
+                    continue
+                v = v * (u - p3) * lamr
+
+            k = abs(y - m)
+            if k <= 20 or float(k) >= k_squeeze:  # the C compares k as a double
+                f = 1.0
+                if m < y:
+                    for i in range(m + 1, y + 1):
+                        f *= a / i - s
+                elif m > y:
+                    for i in range(y + 1, m + 1):
+                        f /= a / i - s
+                if v <= f:
+                    return y
+                continue
+
+            rho = (k / nrq) * ((k * (k / 3.0 + 0.625) + 0.16666666666666666) / nrq + 0.5)
+            t = _int64(-k * k) / (2 * nrq)  # -k * k wraps past k ~ 3e9
+            if v <= 0.0:  # log(v) is -inf or NaN in C, and either accepts
+                return y
+            big_a = log(v)
+            if big_a < t - rho:
+                return y
+            if big_a > t + rho:
+                continue
+            x1 = float(y + 1)
+            w = float(n - y + 1)
+            if big_a <= (xm * log(f1 / x1) + nm * log(z / w)
+                         + (y - m) * log(w * p / (x1 * q))
+                         + f_term + _stirling(x1) + z_term + _stirling(w)):
+                return y
+    return btpe
+
+
+def _stirling(x: float) -> float:
+    """BTPE's Stirling correction term for *x*, as the C spells it."""
+    x2 = x * x
+    return (13680. - (462. - (132. - (99. - 140. / x2) / x2) / x2) / x2) / x / 166320.
+
+
 _PROBABILITY = {r: occurrence_rate(r).probability for r in OCCURRENCE_DENOMINATORS}
 
 
@@ -143,15 +288,11 @@ def _simulate(ratings: list[int], cfg: SimConfig,
     if not all_ratings(ratings):
         for rating in ratings:  # raises for the first bad one
             check_rating(rating, "occurrence")
-    bit_generator = np.random.PCG64(0)  # its state is replaced before each draw
-    binomial = np.random.Generator(bit_generator).binomial
-    stream = {"state": 0, "inc": 0}
-    state = {"bit_generator": "PCG64", "state": stream, "has_uint32": 0, "uinteger": 0}
     trials = cfg.trials
+    samplers = {rating: _binomial(trials, _PROBABILITY[rating]) for rating in set(ratings)}
     results = []
-    for rating, (stream["state"], stream["inc"]) in zip(ratings, streams):
-        bit_generator.state = state
-        failures = int(binomial(trials, _PROBABILITY[rating]))
+    for rating, (state, inc) in zip(ratings, streams):
+        failures = samplers[rating](_doubles(state, inc).__next__)
         empirical_rate = failures / trials
         # Zero failures is the correct inference at the scale floor, not an error.
         rating_out = rating_from_rate(empirical_rate) if failures > 0 else 1
@@ -165,8 +306,7 @@ def simulate_occurrence(rating: int, cfg: SimConfig) -> SimResult:
 
     Fully determined by (rating, cfg.trials, cfg.seed).
     """
-    stream = np.random.PCG64(cfg.seed).state["state"]
-    return _simulate([rating], cfg, [(stream["state"], stream["inc"])])[0]
+    return _simulate([rating], cfg, _stream_states(cfg.seed, None))[0]
 
 
 def simulate_worksheet(ws: Worksheet, cfg: SimConfig) -> list[SimResult]:

@@ -539,6 +539,22 @@ def test_import_loads_numpy_but_no_record_or_summary_machinery(fixture_csv):
     assert analyze.returncode == 0 and "mean 186.93" in analyze.stdout
 
 
+def test_no_command_loads_numpy_random(fixture_csv):
+    # simulate draws numpy's streams in pure Python, so no command imports
+    # numpy.random, which numpy 2.x loads on first use (numpy 1.x loads it
+    # with numpy itself). Modules stay loaded, so one process that runs
+    # every command shows it.
+    commands = [[command[0], str(fixture_csv), *command[1:]] for command in _COMMANDS]
+    commands += [["simulate", "--rating", "5"], ["dataset"], ["scales"]]
+    probe = ("import json, sys, numpy; before = set(sys.modules); from fmeakit.cli import run; "
+             "codes = [run(args) for args in json.loads(sys.argv[1])]; "
+             "print(codes, [name for name in sys.modules if name.startswith('numpy.random') "
+             "and name not in before], file=sys.stderr)")
+    done = subprocess.run([sys.executable, "-c", probe, json.dumps(commands)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.stderr == f"{[0] * len(commands)} []\n"
+
+
 def test_subprocess_pipeline_matches_direct_file(fixture_csv):
     dataset = subprocess.run(
         [sys.executable, "-m", "fmeakit", "dataset"],

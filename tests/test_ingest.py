@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 from unittest import mock
 
@@ -143,6 +144,13 @@ def test_parse_csv_rejects_non_utf8():
     with pytest.raises(ParseFailure) as info:
         parse_csv(b"\xef\xbb\xbfcomponent\n\xff\xfe")
     assert errors_of(info) == [(2, None, "not valid UTF-8 at byte 13")]
+    # Past the reader's first 8 KiB, after rows it has already read, the
+    # bad byte is located in the whole input all the same.
+    sheet = csv_doc(*(data_row(component=f"Pump {i}") for i in range(400)))
+    assert len(sheet) > 8192
+    with pytest.raises(ParseFailure) as info:
+        parse_csv(sheet + b"Pump \xff,Seal leak,5,5,5,,,,,,\n")
+    assert errors_of(info) == [(402, None, f"not valid UTF-8 at byte {len(sheet) + 5}")]
 
 
 def test_parse_csv_accepts_utf8_bom():
@@ -150,6 +158,33 @@ def test_parse_csv_accepts_utf8_bom():
     assert parse_csv(b"\xef\xbb\xbf" + plain) == parse_csv(plain)
     plain = json_doc()
     assert parse_json(b"\xef\xbb\xbf" + plain) == parse_json(plain)
+
+
+def _whole_text_rows(data: bytes) -> list[list[str]]:
+    """The rows of the reader parse_csv once used: the whole input decoded,
+    one BOM dropped, then read from an io.StringIO."""
+    text = data.decode("utf-8").removeprefix("\ufeff")
+    return list(csv.reader(io.StringIO(text, newline="")))
+
+
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+@pytest.mark.parametrize("endings", list(itertools.product(("\n", "\r\n", "\r"), repeat=3)),
+                         ids=lambda endings: "-".join(map(repr, endings)))
+def test_parse_csv_splits_lines_as_the_whole_text_reader_did(bom, endings):
+    # The reader decodes the bytes in 8 KiB chunks. The padded row's line
+    # ending starts on the first chunk's last byte, so a CRLF straddles the
+    # boundary; the quoted cells hold a line break of each kind.
+    header, padded, last = endings
+    head = bom + f"{HEADER}{header}".encode()
+    row = 'Pump,"Seal\rleak",5,5,5,"{}",,,,,{}'
+    width = 8191 - len(head) - len(row.format("", "").encode())
+    first = row.format("x" * width, padded)
+    data = head + first.encode() + f'Valve,"Stuck\r\nopen",3,2,8,"a\nb",,,,,{last}'.encode()
+    assert len(head + first.encode()) - len(padded) == 8191
+    # The sheet is spelt as emit_csv writes it, so its rows come back.
+    rows = _whole_text_rows(data)
+    assert len(rows) == 3
+    assert _whole_text_rows(emit_csv(parse_csv(data))) == rows
 
 
 def test_parse_csv_quoted_fields_round_trip():

@@ -7,6 +7,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fmeakit import (
     FmeaEntry,
@@ -17,8 +19,8 @@ from fmeakit import (
     simulate_occurrence,
     simulate_worksheet,
 )
-from fmeakit.scales import occurrence_rate
-from fmeakit.simulate import _stream_states
+from fmeakit.scales import OCCURRENCE_DENOMINATORS, occurrence_rate
+from fmeakit.simulate import _binomial, _doubles, _simulate, _stream_states
 
 # Edge words of the 64-bit seed range, plus one fixed random value.
 ORACLE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, random.Random(5).getrandbits(64))
@@ -159,6 +161,58 @@ def test_stream_states_match_numpy_seed_sequence():
             state = numpy_generator(seed, (index,)).bit_generator.state["state"]
             expected.append((state["state"], state["inc"]))
         assert list(_stream_states(seed, np.array(indices, dtype=np.uint32))) == expected
+        state = np.random.PCG64(seed).state["state"]
+        assert list(_stream_states(seed, None)) == [(state["state"], state["inc"])]
+
+
+# Consecutive spawn keys drawn per example. From 2**62 trials up, rating
+# 10's BTPE squeeze tells a wrapped k * k from an unwrapped one in 1 draw
+# of 25 to 130; each of the first three examples below holds one or more.
+_KEYS = 100
+# Uniform over [1, 2**63 - 1] all but never draws the inversion side.
+_TRIALS = st.one_of(st.integers(1, 2**63 - 1), st.integers(1, 10**8))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rating=st.integers(1, 10), trials=_TRIALS, seed=st.integers(0, 2**64 - 1),
+       key=st.none() | st.integers(0, 2**32 - _KEYS))
+@example(rating=10, trials=2**62, seed=0, key=0)
+@example(rating=10, trials=2**63 - 2, seed=1, key=0)
+@example(rating=10, trials=2**63 - 1, seed=2**64 - 1, key=0)
+@example(rating=10, trials=2**63 - 1, seed=2**64 - 1, key=None)
+@example(rating=1, trials=2**63 - 1, seed=0, key=0)
+def test_draws_match_numpy_bit_for_bit(rating, trials, seed, key):
+    # numpy is the oracle: the draws of the streams the README documents.
+    p = occurrence_rate(rating).probability
+    cfg = SimConfig(trials=trials, seed=seed)
+    if key is None:
+        assert simulate_occurrence(rating, cfg).failures == \
+            numpy_generator(seed, ()).binomial(trials, p)
+        return
+    keys = range(key, key + _KEYS)
+    drawn = _simulate([rating] * _KEYS, cfg, _stream_states(seed, np.array(keys, np.uint32)))
+    assert [r.failures for r in drawn] == \
+        [numpy_generator(seed, (k,)).binomial(trials, p) for k in keys]
+
+
+# Each rating's inversion/BTPE switch, min(p, 1 - p) * trials <= 30, from both sides.
+for _rating, _denominator in OCCURRENCE_DENOMINATORS.items():
+    for _trials in (30 * _denominator - 1, 30 * _denominator, 30 * _denominator + 1):
+        test_draws_match_numpy_bit_for_bit = example(
+            rating=_rating, trials=_trials, seed=7, key=0)(test_draws_match_numpy_bit_for_bit)
+
+
+@settings(max_examples=200, deadline=None)
+@given(trials=_TRIALS, p=st.floats(0, 1, exclude_min=True, exclude_max=True),
+       seed=st.integers(0, 2**64 - 1))
+@example(trials=1000, p=0.75, seed=0)
+@example(trials=2**63 - 1, p=0.999, seed=0)
+def test_sampler_matches_numpy_at_any_probability(trials, p, seed):
+    # Past 0.5 the sampler draws trials minus a draw with 1 - p; no rating
+    # reaches it, so only this test does.
+    (stream,) = _stream_states(seed, None)
+    assert _binomial(trials, p)(_doubles(*stream).__next__) == \
+        numpy_generator(seed, ()).binomial(trials, p)
 
 
 def test_draws_match_a_numpy_reference_loop(fixture_ws):
