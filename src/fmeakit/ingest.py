@@ -2,11 +2,11 @@
 
 Both parsers collect every problem in the input and report them together
 as located errors, instead of stopping at the first. A sheet whose rows
-are all certainly valid and spelt as fmeakit writes them (string text
-cells, ratings as str(rating) in CSV or integers in JSON, no surrogate
-escape in JSON) is accepted column by column by _accept, in
-whole-column passes; any other sheet goes row by row through _entry,
-which words every problem. Narrative fields are lenient (may be empty);
+are all certainly valid and spelt as fmeakit writes them (ratings as
+str(rating) in CSV or integers in JSON; in JSON, as parse_json tests
+first, string text cells and no surrogate escape) is accepted column by
+column by _accept; any other sheet goes row by row through _entry, which
+words every problem. Narrative fields are lenient (may be empty);
 rating fields are strict (never coerced, never clamped). Serialization
 is deterministic: fixed field order, worksheet order preserved,
 line-feed newlines, no environment-dependent content.
@@ -123,18 +123,17 @@ def _accept(columns: Sequence[Sequence[object]]) -> list[FmeaEntry] | None:
     """Every row of a sheet, given as its eleven columns in CSV_COLUMNS
     order, as an entry; None unless every row is certainly valid.
 
-    Certainly valid: every text cell is str (a None narrative is left to
-    _entry) and no component is blank, ratings are int in 1-10 (a CSV
-    rating spelt other than str(rating) arrives as None), the class is
-    None, blank or a label, and no (component, failure_mode) key repeats.
-    Each test is one pass over whole columns.
+    The caller passes str text cells and a str or None class: csv.reader
+    yields only str, and parse_json's gate tests JSON's types. Certainly
+    valid: no component is blank, ratings are int in 1-10 (a CSV rating
+    spelt other than str(rating) arrives as None), the class is None,
+    blank or a label, and no (component, failure_mode) key repeats. Each
+    test is one pass over whole columns.
     """
     components, failure_modes, severities, occurrences, detections, *narratives, \
         declared = columns
-    if not (set(map(type, chain(components, failure_modes, *narratives))) <= {str}
-            and all(map(str.strip, components))
+    if not (all(map(str.strip, components))
             and all_ratings(severities, occurrences, detections)
-            and set(map(type, declared)) <= {str, type(None)}
             and len(set(zip(components, failure_modes))) == len(components)):
         return None
     labels = {text: None if text is None
@@ -317,8 +316,10 @@ def parse_json(data: bytes) -> Worksheet:
     if set(map(type, raw_entries)) <= {dict} \
             and set(chain.from_iterable(raw_entries)) <= _COLUMN_SET \
             and _SURROGATE_ESCAPE.search(text) is None:
-        entries = _accept([list(map(dict.get, raw_entries, repeat(name)))
-                           for name in CSV_COLUMNS])
+        columns = [list(map(dict.get, raw_entries, repeat(name))) for name in CSV_COLUMNS]
+        if set(map(type, chain(*columns[:2], *columns[5:10]))) <= {str} \
+                and set(map(type, columns[10])) <= {str, type(None)}:
+            entries = _accept(columns)
     if entries is None:
         entries = []
         keyed: list[tuple[tuple[str, str], int]] = []

@@ -169,7 +169,7 @@ _HEAT_RGB = (178, 24, 43)  # saturated end of the white-to-red ramp
 
 
 def _heat_fill(count: int, max_count: int) -> str:
-    if count == 0 or max_count == 0:
+    if count == 0:  # max_count is 0 only when every count is
         return "#ffffff"
     f = count / max_count
     channels = (round(255 + (c - 255) * f) for c in _HEAT_RGB)

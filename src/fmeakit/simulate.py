@@ -158,14 +158,11 @@ def _binomial(n: int, p: float) -> Callable[[Callable[[], float]], int]:
     (numpy/random/src/distributions/distributions.c) as a function of a
     ``next_double``, its set-up done once.
 
-    Inversion when min(p, 1 - p) * n <= 30, BTPE otherwise (Kachitvichyanukul
-    & Schmeiser, "Binomial Random Variate Generation", CACM 31(2), 1988);
-    n minus a draw with 1 - p when p > 0.5. Every int64 in the C is a Python
-    int here, converted to float where the C converts it, once.
+    Inversion when p * n <= 30, BTPE otherwise (Kachitvichyanukul &
+    Schmeiser, "Binomial Random Variate Generation", CACM 31(2), 1988);
+    p <= 1/2, as the scale's top rate is 1 in 2. Every int64 in the C is
+    a Python int here, converted to float where the C converts it, once.
     """
-    if p > 0.5:
-        draw = _binomial(n, 1.0 - p)
-        return lambda next_double: n - draw(next_double)
     q = 1.0 - p
     if p * n > 30.0:
         return _btpe(n, p, q)

@@ -289,6 +289,12 @@ def _accepted(values):
     return entries if entries is None else entries[0]
 
 
+def _by_column(parse, data):
+    # With the row builder made to raise, only the column path can parse.
+    with mock.patch("fmeakit.ingest._entry", side_effect=AssertionError("by row")):
+        return list(parse(data).entries)
+
+
 @settings(max_examples=300, deadline=None)
 @given(csv_rows())
 def test_csv_fast_path_agrees_with_entry(row):
@@ -301,8 +307,16 @@ def test_csv_fast_path_agrees_with_entry(row):
     assert _parsed(parse_csv, csv_text([CSV_COLUMNS, row]).encode("utf-8")) == expected
 
 
+# A valid entry as JSON, from which each example below spoils one field.
+_ITEM = {**dict.fromkeys(CSV_COLUMNS, "x"), **dict.fromkeys(RATING_FIELDS, 5)}
+
+
 @settings(max_examples=300, deadline=None)
 @given(json_objects(), st.booleans())
+@example({**_ITEM, "failure_mode": 7}, False)
+@example({**_ITEM, "declared_classification": ["critical"]}, False)
+@example({**_ITEM, "effect": None}, False)
+@example({**_ITEM, "cause": None, "notes": ""}, True)
 def test_json_fast_path_agrees_with_entry(item, ascii_only):
     document = {"title": "", "entries": [item]}
     try:
@@ -317,12 +331,17 @@ def test_json_fast_path_agrees_with_entry(item, ascii_only):
         _built(values, "json", None, "entries[0].", unknown)
     if _SURROGATE_ESCAPE.search(data.decode("utf-8")) is None:  # as parse_json decides
         expected = _built(values, "json", None, "entries[0].")
-        accepted = _accepted(values)
-        if accepted is not None:
-            assert accepted == expected
-        else:
-            # A null or missing narrative is valid, but left to _entry.
+        # The same entry without its unknown fields, which the gate declines.
+        known = {name: item[name] for name in CSV_COLUMNS if name in item}
+        data = json.dumps({"title": "", "entries": [known]}, ensure_ascii=False)
+        try:
+            (accepted,) = _by_column(parse_json, data.encode("utf-8"))
+        except AssertionError:  # declined: the row builder was called
+            # A faulty row is declined, and so is a null or missing
+            # narrative, which is valid but left to _entry.
             assert isinstance(expected, list) or None in values[5:10]
+        else:
+            assert accepted == expected
 
 
 # Sheets of up to 30 rows: unique keys unless one row copies another's,
@@ -373,12 +392,6 @@ def _sheet_outcome(parse, data):
         return list(parse(data).entries)
     except ParseFailure as exc:
         return [str(e) for e in exc.errors]
-
-
-def _by_column(parse, data):
-    # With the row builder made to raise, only the column path can parse.
-    with mock.patch("fmeakit.ingest._entry", side_effect=AssertionError("by row")):
-        return list(parse(data).entries)
 
 
 _RATING_TEXTS = {str(v) for v in range(1, 11)}

@@ -1,5 +1,6 @@
-"""The package's own source: no module imports a name it never uses, and
-no private name is defined that the package itself never loads."""
+"""The package's own source: no module imports a name it never uses, no
+private name is defined that the package itself never loads, and only
+simulate.py imports numpy."""
 
 from __future__ import annotations
 
@@ -90,3 +91,28 @@ def test_all_lists_every_name_the_package_imports():
                 if isinstance(node, ast.ImportFrom) and node.module != "__future__"
                 for alias in node.names]
     assert sorted(fmeakit.__all__) == sorted(imported)
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level package of every module the source imports, at any
+    depth; relative imports are left out."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.partition(".")[0])
+    return found
+
+
+def test_imported_modules_finds_absolute_imports_at_any_depth():
+    source = ("import numpy.random as npr\nfrom . import scales\n"
+              "def f():\n    from json.decoder import JSONDecodeError\n")
+    assert imported_modules(source) == {"numpy", "json"}
+
+
+def test_only_simulate_imports_numpy():
+    # Porting simulate's last numpy use then takes numpy out of the package.
+    importers = [path.name for path in SOURCES
+                 if "numpy" in imported_modules(path.read_text(encoding="utf-8"))]
+    assert importers == ["simulate.py"]
