@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import io
 import os
 import sys
 
@@ -60,20 +61,41 @@ def _load(path: str) -> Worksheet:
         raise _UsageError(f"cannot tell the format of {path!r}: "
                           "expected a .csv or .json file, or - for stdin CSV")
     try:  # an endless input, such as /dev/zero, ends in MemoryError
-        if path == "-":
-            if sys.stdin is None:  # the process started with fd 0 closed
-                raise _InputError("error: cannot read -: standard input is closed")
-            data = sys.stdin.buffer.read()
-        else:
-            try:
+        try:
+            if path != "-":
                 with open(path, "rb") as handle:
                     data = handle.read()
-            except OSError as exc:
-                reason = exc.strerror or str(exc)
-                raise _InputError(f"error: cannot read {path}: {reason}") from exc
+            elif sys.stdin is None:  # the process started with fd 0 closed
+                raise _InputError("error: cannot read -: standard input is closed")
+            else:
+                data = _read_stdin(sys.stdin.buffer)
+        except OSError as exc:
+            reason = exc.strerror or str(exc)
+            raise _InputError(f"error: cannot read {path}: {reason}") from exc
         return parse(data)
     except MemoryError as exc:
         raise _InputError(f"error: cannot read {path}: out of memory") from exc
+
+
+def _read_stdin(stream: io.BufferedIOBase) -> bytes:
+    """All of *stream*, standard input's binary buffer. One read reads a
+    blocking descriptor to its end, a terminal's to one EOF, and a stream
+    with no descriptor whole. A non-blocking read returns what has arrived
+    (None for nothing), so select waits and it reads again until b"";
+    the flags, shared with other processes, are left as they are."""
+    data = stream.read()
+    try:
+        fd = stream.fileno()
+    except io.UnsupportedOperation:
+        return data
+    if os.get_blocking(fd):
+        return data
+    import select  # loaded only for a non-blocking stdin
+    chunks = [data]
+    while chunks[-1] != b"":
+        select.select([fd], [], [])
+        chunks.append(stream.read())
+    return b"".join(filter(None, chunks))
 
 
 def _ascii_int(text: str) -> int:

@@ -3,8 +3,8 @@
 Fifteen cyber-physical components of a microgrid communication
 infrastructure, each with one high-risk failure mode (a class of
 cyberattack), its S/O/D ratings, and a declared criticality label. The
-worksheet ships as ``data/microgrid_cyber_fmea.csv``, the one copy of it:
-the CLI emits that file as is, and ``microgrid_worksheet()`` parses it.
+worksheet ships as the plain file CSV_PATH beside this module, the one
+copy of it: the CLI emits it as is, and ``microgrid_worksheet()`` parses it.
 
 Provenance. The three top-risk components (Energy Management System
 (EMS), Human-machine interface (HMI), Smart meter) carry their full
@@ -22,14 +22,13 @@ bands.
 
 from __future__ import annotations
 
-from importlib import resources
+import os
 
 from .ingest import parse_csv
 from .worksheet import Worksheet
 
 WORKSHEET_TITLE = "Microgrid cyber-physical component FMEA"
-
-CSV_RESOURCE = "microgrid_cyber_fmea.csv"
+CSV_PATH = os.path.join(os.path.dirname(__file__), "data", "microgrid_cyber_fmea.csv")
 
 
 def microgrid_worksheet() -> Worksheet:
@@ -39,4 +38,5 @@ def microgrid_worksheet() -> Worksheet:
 
 def bundled_csv_bytes() -> bytes:
     """Return the shipped CSV rendition of the bundled worksheet, byte-exact."""
-    return resources.files(__package__).joinpath("data", CSV_RESOURCE).read_bytes()
+    with open(CSV_PATH, "rb") as handle:
+        return handle.read()

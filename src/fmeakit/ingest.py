@@ -22,6 +22,7 @@ import csv
 import io
 import json
 import re
+from collections import Counter
 from collections.abc import Iterable, Sequence
 from functools import cache
 from itertools import chain, repeat
@@ -274,15 +275,39 @@ def _json_int(text: str) -> int | Decimal:
         return Decimal(text)
 
 
+class _Repeats(dict):
+    """A JSON object that names a field more than once: the last value of
+    each name, as json.loads keeps it, and the repeated names in order."""
+
+    __slots__ = ("repeated",)
+
+
+def _json_object(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    # A _Repeats is no plain dict, so the column path's type test declines it.
+    found = dict(pairs)
+    if len(found) < len(pairs):
+        found = _Repeats(found)
+        counts = Counter(map(itemgetter(0), pairs))
+        found.repeated = [name for name, count in counts.items() if count > 1]
+    return found
+
+
+def _duplicate_fields(found: dict[str, object], prefix: str) -> list[ParseError]:
+    """One error for each name a JSON object repeats, at prefix + name."""
+    return [ParseError("json", "duplicate field", column=prefix + name)
+            for name in getattr(found, "repeated", ())]
+
+
 def parse_json(data: bytes) -> Worksheet:
     """Parse JSON bytes ({"title": ..., "entries": [...]}) into a worksheet.
 
     Entry fields are named as the CSV columns; validation semantics match
-    parse_csv. Raises ParseFailure with every located error.
+    parse_csv, and as a header names no column twice, no object names a
+    field twice. Raises ParseFailure with every located error.
     """
     text = _decode(data, "json")
     try:
-        document = json.loads(text)
+        document = json.loads(text, object_pairs_hook=_json_object)
     except json.JSONDecodeError as exc:
         raise ParseFailure([ParseError(
             "json", f"malformed JSON: {exc.msg}", row=exc.lineno)]) from exc
@@ -292,7 +317,7 @@ def parse_json(data: bytes) -> Worksheet:
     except ValueError:
         # An integer literal past int()'s digit limit: parse again, keeping
         # such literals as values that every field rejects with a location.
-        document = json.loads(text, parse_int=_json_int)
+        document = json.loads(text, object_pairs_hook=_json_object, parse_int=_json_int)
 
     errors: list[ParseError] = []
     if not isinstance(document, dict):
@@ -301,6 +326,7 @@ def parse_json(data: bytes) -> Worksheet:
     for name in document:
         if name not in ("title", "entries"):
             errors.append(ParseError("json", "unknown field", column=name))
+    errors += _duplicate_fields(document, "")
 
     title = document.get("title", "")
     if (problem := _text_problem(title)) is not None:
@@ -330,6 +356,7 @@ def parse_json(data: bytes) -> Worksheet:
                 continue
             errors.extend(ParseError("json", "unknown field", column=f"{path}.{name}")
                           for name in item if name not in _COLUMN_SET)
+            errors += _duplicate_fields(item, f"{path}.")
             entry = _entry(map(item.get, CSV_COLUMNS), errors, "json", None, f"{path}.")
             keyed.append(((entry.component, entry.failure_mode), index))
             entries.append(entry)

@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import functools
 import gc
 import io
 import json
 import os
+import pty
 import re
 import subprocess
 import sys
+import termios
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -307,6 +311,26 @@ def test_endless_stdin_is_a_located_error(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", mock.Mock(**{"buffer.read.side_effect": MemoryError}))
     assert run(["validate", "-"]) == 1
     assert capsys.readouterr() == ("", "error: cannot read -: out of memory\n")
+
+
+def test_stdin_read_error_is_a_located_error(capsys, monkeypatch):
+    error = OSError(errno.EIO, os.strerror(errno.EIO))
+    monkeypatch.setattr("sys.stdin", mock.Mock(**{"buffer.read.side_effect": error}))
+    assert run(["validate", "-"]) == 1
+    assert capsys.readouterr() == ("", f"error: cannot read -: {os.strerror(errno.EIO)}\n")
+
+
+def test_a_name_repeated_in_csv_or_json_is_refused_by_both(tmp_path, capsys):
+    # json.loads alone would keep the second severity and accept the sheet.
+    sheet = tmp_path / "twice.csv"
+    sheet.write_text(",".join(CSV_COLUMNS) + ",severity\nPump,Seal leak,11,5,5,,,,,,,5\n")
+    assert run(["validate", str(sheet)]) == 1
+    assert capsys.readouterr() == ("", "[csv] row 1: duplicate column names in header\n")
+    sheet = tmp_path / "twice.json"
+    sheet.write_text('{"entries": [{"component": "Pump", "failure_mode": "Seal leak", '
+                     '"severity": 11, "occurrence": 5, "detection": 5, "severity": 5}]}')
+    assert run(["validate", str(sheet)]) == 1
+    assert capsys.readouterr() == ("", "[json] field 'entries[0].severity': duplicate field\n")
 
 
 def test_out_of_memory_while_parsing_is_a_located_error(fixture_csv, capsys,
@@ -622,6 +646,62 @@ def test_subprocess_closed_standard_stream_exits_1(fd, command, stderr):
                           preexec_fn=functools.partial(os.close, fd))
     assert proc.returncode == 1
     assert proc.stderr == stderr
+
+
+def _run_on_nonblocking_stdin(argv: list[str],
+                              chunks: list[bytes]) -> subprocess.CompletedProcess:
+    """Run the CLI on a pipe whose read end is non-blocking, writing the
+    chunks 0.3 s apart and closing the pipe 0.3 s after the last."""
+    read_end, write_end = os.pipe()
+    os.set_blocking(read_end, False)
+    proc = subprocess.Popen([sys.executable, "-m", "fmeakit", *argv], stdin=read_end,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    os.close(read_end)
+    for chunk in chunks:
+        with contextlib.suppress(BrokenPipeError):  # the CLI has ended early
+            os.write(write_end, chunk)
+        time.sleep(0.3)
+    os.close(write_end)
+    stdout, stderr = proc.communicate(timeout=60)
+    return subprocess.CompletedProcess(proc.args, proc.returncode, stdout, stderr)
+
+
+def test_subprocess_nonblocking_stdin_is_read_to_its_end(fixture_csv, capsys):
+    # A read returns only what has arrived: here the header, not the rows.
+    assert run(["analyze", str(fixture_csv)]) == 0
+    direct = capsys.readouterr().out.encode("utf-8")
+    header, rows = fixture_csv.read_bytes().split(b"\n", 1)
+    proc = _run_on_nonblocking_stdin(["analyze", "-"], [header + b"\n", rows])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, direct, b"")
+
+
+def test_subprocess_nonblocking_stdin_that_stays_empty_then_ends():
+    # A read before the writer closes returns None, not b"".
+    proc = _run_on_nonblocking_stdin(["validate", "-"], [b""])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, b"", b"[csv] row 1: missing header row\n")
+
+
+def test_subprocess_terminal_stdin_ends_at_one_eof(fixture_csv):
+    # EOT at the start of a line ends a terminal's input once; a second read
+    # would wait for another.
+    primary, secondary = pty.openpty()
+    attrs = termios.tcgetattr(secondary)
+    attrs[3] &= ~termios.ECHO  # nothing reads the echo
+    termios.tcsetattr(secondary, termios.TCSANOW, attrs)
+    proc = subprocess.Popen([sys.executable, "-m", "fmeakit", "validate", "-"],
+                            stdin=secondary, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    os.close(secondary)
+    try:
+        os.write(primary, fixture_csv.read_bytes() + b"\x04")
+        stdout, stderr = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.communicate()
+        pytest.fail("validate - waited past the terminal's EOF")
+    finally:
+        os.close(primary)
+    assert (proc.returncode, stdout, stderr) == (0, b"OK: 15 entries, no violations\n", b"")
 
 
 # Exit code and stderr of each command when stdout is a pipe whose reader

@@ -241,6 +241,38 @@ def test_parse_json_rejects_unknown_fields():
     assert info.value.errors[0].column == "entries[0].notes"
 
 
+def test_parse_json_rejects_a_field_named_twice_in_an_entry():
+    # json.loads alone keeps the last value, a valid 5, and drops the 11.
+    data = (b'{"title": "t", "entries": [{"component": "Pump", "failure_mode": "Seal leak", '
+            b'"severity": 11, "occurrence": 5, "detection": 5, "notes": "", '
+            b'"severity": 5, "notes": "", "severity": 5}]}')
+    with pytest.raises(ParseFailure) as info:
+        parse_json(data)
+    assert errors_of(info) == [(None, "entries[0].notes", "unknown field"),
+                               (None, "entries[0].severity", "duplicate field"),
+                               (None, "entries[0].notes", "duplicate field")]
+
+
+def test_parse_json_rejects_a_field_named_twice_in_the_document():
+    data = b'{"title": "a", "entries": [], "extra": 1, "entries": [], "title": "b"}'
+    with pytest.raises(ParseFailure) as info:
+        parse_json(data)
+    assert errors_of(info) == [(None, "extra", "unknown field"),
+                               (None, "title", "duplicate field"),
+                               (None, "entries", "duplicate field")]
+
+
+def test_parse_json_past_the_digit_limit_still_refuses_a_repeated_field():
+    data = ('{"entries": [{"component": "Pump", "failure_mode": "Seal leak", '
+            f'"severity": {"5" * 5000}, "occurrence": 5, "detection": 5, '
+            '"detection": 5}]}').encode()
+    with pytest.raises(ParseFailure) as info:
+        parse_json(data)
+    assert [error[1:] for error in errors_of(info)] == [
+        ("entries[0].detection", "duplicate field"),
+        ("entries[0].severity", f"must be an integer in [1, 10], got Decimal('{'5' * 5000}')")]
+
+
 def test_parse_json_rating_type_strictness():
     for bad in (5.0, "5", True, None, 11, 0):
         with pytest.raises(ParseFailure) as info:

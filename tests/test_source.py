@@ -1,12 +1,15 @@
 """The package's own source: no module imports a name it never uses, no
-private name is defined that the package itself never loads, and only
-simulate.py imports numpy."""
+private name is defined that the package itself never loads, only
+simulate.py imports numpy, and no module imports importlib."""
 
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy
 import pytest
 
 import fmeakit
@@ -116,3 +119,24 @@ def test_only_simulate_imports_numpy():
     importers = [path.name for path in SOURCES
                  if "numpy" in imported_modules(path.read_text(encoding="utf-8"))]
     assert importers == ["simulate.py"]
+
+
+def test_no_module_imports_importlib():
+    # The bundled sheet is a plain file beside dataset.py, read with open.
+    importers = [path.name for path in SOURCES
+                 if "importlib" in imported_modules(path.read_text(encoding="utf-8"))]
+    assert importers == []
+
+
+def test_dataset_command_loads_no_resource_machinery():
+    # -S keeps the site hooks, which may load these modules, from running.
+    code = ("import sys; sys.path[:0] = sys.argv[1:]; from fmeakit.cli import run; "
+            "code = run(['dataset']); print([name for name in "
+            "('importlib.resources', 'pathlib', 'zipfile') if name in sys.modules], "
+            "file=sys.stderr); sys.exit(code)")
+    package = Path(fmeakit.__file__).parent
+    numpy_parent = Path(numpy.__file__).parent.parent
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(package.parent),
+                           str(numpy_parent)], capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"[]\n")
+    assert proc.stdout == (package / "data" / "microgrid_cyber_fmea.csv").read_bytes()
